@@ -61,7 +61,7 @@ def run_percentile_ablation():
         CampaignSpec(
             name="ablation-percentile",
             jobs=[
-                JobSpec.from_world(
+                JobSpec(
                     "bottlenecked-large-object|seed21",
                     bottlenecked_large_object_world(seed=21),
                 )
@@ -138,7 +138,7 @@ def run_checkphase_ablation():
     # they fan out over the campaign engine's worker pool
     cases = [(seed, 31.0 + seed) for seed in range(50, 60)]
     jobs = [
-        JobSpec.from_world(
+        JobSpec(
             f"blips|check{check}|seed{seed}",
             transient_blips_world(check, seed, period),
         )
@@ -191,11 +191,14 @@ def test_ablation_check_phase(benchmark):
 
 
 def run_sync_ablation(naive, seed=41):
-    # still a *callable* job — the payload is the post-processed
-    # arrival offsets, not the world's MFCResult — but the world itself
-    # is declarative.  A calm fleet: the residual spread under
-    # lead-time scheduling is then pure estimate-vs-live jitter, while
-    # the naive dispatch shows the fleet's full RTT diversity
+    """Arrival offsets of the first epoch's requests in the server log.
+
+    Runs in-process rather than as a campaign job: the payload is the
+    server's access log, which the world's ``MFCResult`` does not
+    carry.  A calm fleet: the residual spread under lead-time
+    scheduling is then pure estimate-vs-live jitter, while the naive
+    dispatch shows the fleet's full RTT diversity.
+    """
     runner = WorldSpec(
         scenario=qtnp_server(),
         fleet=FleetSpec(
@@ -216,27 +219,11 @@ def run_sync_ablation(naive, seed=41):
     window = log.mfc_records(
         log.in_window(epoch.target_time - 1.0, epoch.target_time + 6.0)
     )
-    offsets = log.arrival_offsets(window)
-    return offsets
+    return log.arrival_offsets(window)
 
 
 def run_both_sync():
-    synced, naive = run_campaign(
-        CampaignSpec(
-            name="ablation-synchronization",
-            jobs=[
-                JobSpec(
-                    job_id=f"sync|naive{naive}|seed41",
-                    func="benchmarks.bench_ablations:run_sync_ablation",
-                    kwargs={"naive": naive, "seed": 41},
-                )
-                for naive in (False, True)
-            ],
-        ),
-        jobs=bench_jobs(),
-        store=bench_cache("ablations"),
-    )
-    return synced.result, naive.result
+    return run_sync_ablation(naive=False), run_sync_ablation(naive=True)
 
 
 def test_ablation_synchronization(benchmark):

@@ -38,6 +38,6 @@ Quickstart::
     print(result.summary())
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = ["__version__"]

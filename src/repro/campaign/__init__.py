@@ -5,11 +5,12 @@ independent, deterministic MFC worlds.  This package turns such grids
 into *campaigns*:
 
 - :mod:`repro.campaign.spec` — declarative grids expanded into
-  :class:`JobSpec` entries (world / scenario / callable payloads) with
-  stable SHA-256 job keys hashed by :mod:`repro.worlds.codec`;
-- :mod:`repro.campaign.executor` — a process-pool executor with a
-  byte-identical sequential fallback;
-- :mod:`repro.campaign.store` — an append-only JSONL result store, so
+  :class:`JobSpec` entries, each carrying one
+  :class:`~repro.worlds.spec.WorldSpec`, with stable SHA-256 job keys
+  hashed by :mod:`repro.worlds.codec`;
+- :mod:`repro.campaign.executor` — a batched process-pool executor
+  with a byte-identical sequential fallback;
+- :mod:`repro.campaign.store` — an append-only sharded result store, so
   interrupted campaigns resume without recomputation and repeated
   benchmark runs hit cache;
 - :mod:`repro.campaign.codec` — JSON round-tripping of experiment

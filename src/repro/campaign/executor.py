@@ -1,9 +1,9 @@
-"""Campaign execution: sequential fallback, per-job pool, batched pool.
+"""Campaign execution: batched worker pool with an in-process fallback.
 
 Every job rebuilds its world from scratch inside ``execute_job`` with
 an explicit seed, so a job's result is a pure function of its
 :class:`~repro.campaign.spec.JobSpec` — running jobs in parallel, in
-any order, batched or not, or resuming from a half-finished store
+any order, in any batch size, or resuming from a half-finished store
 yields results identical to the sequential loop.
 
 The parent process is the only writer of the result store: workers
@@ -11,15 +11,16 @@ return encoded results over the pool's pipe and the parent appends
 them as they complete, so an interrupted campaign keeps every job
 finished before the kill.
 
-Dispatch granularity is the 100k-world lever.  ``batch=1`` submits one
-pool task per job — the historical per-job path, whose per-task
-future/IPC bookkeeping and per-record ``fsync`` dominate once jobs
-shrink to milliseconds.  ``batch=None`` (auto) packs many small jobs
-into each worker task, sized by :func:`estimate_job_cost` so a batch
-amortizes the fixed dispatch cost without starving workers; the store
-then commits one fsync'd write per batch instead of per record.  The
-commit point is unchanged — a kill mid-batch loses only the lines not
-yet fully written, and a resume re-runs exactly those jobs.
+Dispatch granularity is the 100k-world lever.  Jobs travel to workers
+in batches through one entry point, :func:`_pool_worker_batch`;
+``batch=None`` (auto) packs many small jobs into each worker task,
+sized by :func:`estimate_job_cost` so a batch amortizes the fixed
+dispatch cost without starving workers, and the store commits one
+fsync'd write per batch instead of per record.  ``batch=1`` sends
+one-job batches.  The sequential fallback calls the same batch runner
+in this process, one job per call.  The commit point is unchanged — a
+kill mid-batch loses only the lines not yet fully written, and a
+resume re-runs exactly those jobs.
 
 :func:`iter_campaign` is the streaming form: it yields each
 :class:`JobOutcome` as it lands (cached hits first, fresh results in
@@ -30,7 +31,6 @@ contract — a list in campaign order.
 
 from __future__ import annotations
 
-import importlib
 import signal
 import threading
 import time
@@ -49,7 +49,6 @@ from repro.campaign.codec import (
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import ResultStore
-from repro.core.runner import MFCRunner
 
 #: cost units one auto-sized batch aims for (~ simulated requests); a
 #: 100k-micro-world campaign packs hundreds of jobs per task while a
@@ -58,8 +57,6 @@ TARGET_BATCH_COST = 4_000.0
 #: auto batch size clamp — dispatch amortization saturates well before
 #: the upper bound, and huge batches would delay commits/progress
 MAX_BATCH_SIZE = 256
-#: assumed cost of a callable job (unknown work: keep batches small)
-FUNC_JOB_COST = TARGET_BATCH_COST
 #: planner cost factors relative to the paper's linear ramp: adaptive
 #: planners reach the knee in far fewer epochs (PR 5 measured the
 #: bisect planner at 1414 vs 3709 requests on the reference world,
@@ -136,8 +133,15 @@ class RetryPolicy:
         return self.job_timeout_s is not None or self.retries > 0
 
 
-class JobTimeout(RuntimeError):
-    """A campaign job exceeded its wall-clock budget."""
+class JobTimeout(BaseException):
+    """A campaign job exceeded its wall-clock budget.
+
+    Derives from ``BaseException``, like ``KeyboardInterrupt``: the
+    alarm can land anywhere inside a running world, and the world's own
+    ``except Exception`` containment (a failed request becomes an
+    error reply, a failed stage becomes an aborted verdict) must not
+    absorb it and let the world run on past its budget.
+    """
 
 
 @contextmanager
@@ -175,10 +179,12 @@ def _execute_with_policy(
 ) -> Tuple[Dict, float]:
     """Run one job under *policy*; returns ``(encoded, elapsed)``.
 
-    Never raises for job failures: a job that exhausts the budget
-    returns an encoded :class:`DeadLetter` document, which the parent
-    commits and yields like any other result.  ``KeyboardInterrupt``
-    and other non-``Exception`` escapes still propagate.
+    Under a disabled policy a job failure propagates unchanged.  Under
+    an enabled one it never raises for job failures: a job that
+    exhausts the budget returns an encoded :class:`DeadLetter`
+    document, which the parent commits and yields like any other
+    result.  ``KeyboardInterrupt`` and other non-``Exception`` escapes
+    always propagate.
     """
     started = time.monotonic()
     attempts = 0
@@ -201,6 +207,8 @@ def _execute_with_policy(
             )
             return encode_result(letter), elapsed
         except Exception as exc:  # noqa: BLE001 - converted to DeadLetter
+            if not policy.enabled:
+                raise
             if attempts > policy.retries:
                 elapsed = time.monotonic() - started
                 letter = DeadLetter(
@@ -215,22 +223,8 @@ def _execute_with_policy(
 
 
 def execute_job(job: JobSpec, detail: str = SUMMARY) -> Dict:
-    """Run one job in this process; return the encoded result."""
-    if job.world is not None:
-        runner = job.world.build()
-        return encode_result(runner.run(time_limit_s=job.time_limit_s), detail)
-    if job.func is not None:
-        module_name, _, func_name = job.func.partition(":")
-        func = getattr(importlib.import_module(module_name), func_name)
-        return encode_result(func(**job.kwargs), detail)
-    runner = MFCRunner.build(
-        job.scenario,
-        fleet_spec=job.fleet_spec,
-        config=job.config,
-        seed=job.seed,
-        stage_kinds=list(job.stage_kinds) if job.stage_kinds is not None else None,
-        **job.runner_kwargs,
-    )
+    """Run one job's world in this process; return the encoded result."""
+    runner = job.world.build()
     return encode_result(runner.run(time_limit_s=job.time_limit_s), detail)
 
 
@@ -249,44 +243,21 @@ def estimate_job_cost(job: JobSpec) -> float:
     just monotone enough that micro-worlds batch by the hundred while
     full-size study worlds keep one-job batches.
     """
-    if job.func is not None:
-        return FUNC_JOB_COST
-    planner_name = "linear"
-    hardened = False
-    crowd_mode = None
-    if job.world is not None:
-        if job.world.indicator:
-            return INDICATOR_JOB_COST
-        n_clients = job.world.fleet.n_clients
-        max_crowd = job.world.config.max_crowd
-        stages = (
-            job.world.stages
-            if job.world.stages is not None
-            else job.world.stage_kinds
-        )
-        if job.world.planner is not None:
-            planner_name = job.world.planner.name
-        hardened = (
-            job.world.faults is not None or bool(job.world.config.hardening)
-        )
-        crowd_mode = job.world.crowd_mode or job.world.config.crowd_mode
-    else:
-        n_clients = job.fleet_spec.n_clients if job.fleet_spec is not None else 65
-        max_crowd = job.config.max_crowd if job.config is not None else 50
-        stages = job.stage_kinds
-        if job.config is not None:
-            hardened = bool(job.config.hardening)
-            crowd_mode = job.config.crowd_mode
-    stage_factor = (
-        len(stages) / DEFAULT_STAGE_COUNT if stages else 1.0
-    )
+    world = job.world
+    if world.indicator:
+        return INDICATOR_JOB_COST
+    stages = world.stages if world.stages is not None else world.stage_kinds
+    stage_factor = len(stages) / DEFAULT_STAGE_COUNT if stages else 1.0
+    planner_name = world.planner.name if world.planner is not None else "linear"
+    hardened = world.faults is not None or bool(world.config.hardening)
+    crowd_mode = world.crowd_mode or world.config.crowd_mode
     planner_factor = PLANNER_COST_FACTOR.get(planner_name, 1.0)
     mode_factor = COHORT_COST_FACTOR if crowd_mode == "cohort" else 1.0
     fault_factor = HARDENED_COST_FACTOR if hardened else 1.0
     return float(
         max(
-            n_clients
-            * max_crowd
+            world.fleet.n_clients
+            * world.config.max_crowd
             * stage_factor
             * planner_factor
             * mode_factor
@@ -312,43 +283,27 @@ def auto_batch_size(jobs: Sequence[JobSpec], workers: int) -> int:
     return max(1, min(size, MAX_BATCH_SIZE, balance_cap))
 
 
-def _pool_worker(
-    job: JobSpec, detail: str, policy: Optional[RetryPolicy] = None
-) -> Tuple[str, Dict, float]:
-    """Per-job pool entry point: (key, encoded result, elapsed)."""
-    if policy is not None and policy.enabled:
-        encoded, elapsed = _execute_with_policy(job, detail, policy)
-        return job.key, encoded, elapsed
-    started = time.monotonic()
-    encoded = execute_job(job, detail)
-    return job.key, encoded, time.monotonic() - started
-
-
 def _pool_worker_batch(
-    jobs: List[JobSpec], detail: str, policy: Optional[RetryPolicy] = None
+    jobs: List[JobSpec], detail: str, policy: RetryPolicy
 ) -> Tuple[List[Tuple[str, Dict, float]], Optional[BaseException]]:
-    """Batched pool entry point: finished results + the first error.
+    """Run a batch of jobs: finished results + the first error.
 
-    A job failure does not discard the batch's earlier results — they
-    travel back with the error so the parent commits them before the
-    failure propagates, keeping resume granularity per-job even under
-    batched dispatch.  Under an enabled :class:`RetryPolicy` a failing
-    job lands as a dead-letter result instead, so the batch (and the
-    campaign) always runs to completion.
+    The one job runner, used by pool workers and the in-process
+    fallback alike.  A job failure does not discard the batch's
+    earlier results — they travel back with the error so the parent
+    commits them before the failure propagates, keeping resume
+    granularity per-job under any batch size.  Under an enabled
+    :class:`RetryPolicy` a failing job lands as a dead-letter result
+    instead, so the batch (and the campaign) always runs to
+    completion.
     """
     results: List[Tuple[str, Dict, float]] = []
-    dead_letter = policy is not None and policy.enabled
     for job in jobs:
-        if dead_letter:
-            encoded, elapsed = _execute_with_policy(job, detail, policy)
-            results.append((job.key, encoded, elapsed))
-            continue
-        started = time.monotonic()
         try:
-            encoded = execute_job(job, detail)
+            encoded, elapsed = _execute_with_policy(job, detail, policy)
         except BaseException as exc:  # noqa: BLE001 - re-raised by parent
             return results, exc
-        results.append((job.key, encoded, time.monotonic() - started))
+        results.append((job.key, encoded, elapsed))
     return results, None
 
 
@@ -370,6 +325,27 @@ def _outcome(job: JobSpec, record: Dict, cached: bool) -> JobOutcome:
         elapsed_s=record.get("elapsed_s", 0.0),
         cached=cached,
     )
+
+
+def _commit(
+    results: List[Tuple[str, Dict, float]],
+    by_key: Dict[str, JobSpec],
+    store: ResultStore,
+    detail: str,
+    reporter: Optional[ProgressReporter],
+) -> List[JobSpec]:
+    """Append one batch's finished results to *store*; the jobs served."""
+    done = [by_key[key] for key, _, _ in results]
+    if results:
+        store.append_batch(
+            [
+                _record(job, encoded, detail, elapsed)
+                for job, (_, encoded, elapsed) in zip(done, results)
+            ]
+        )
+        if reporter is not None:
+            reporter.job_done(len(results))
+    return done
 
 
 def iter_campaign(
@@ -395,8 +371,7 @@ def iter_campaign(
     time on the consumer's behalf — this is the ≥100k-job path.
 
     *batch* sets how many jobs ride in one worker task (default: auto
-    by estimated job cost; 1 reproduces the historical per-job
-    dispatch, byte-identical results either way).
+    by estimated job cost; byte-identical results at any size).
 
     *job_timeout_s* / *retries* / *retry_backoff_s* enable dead-letter
     mode (see :class:`RetryPolicy`): a hung or repeatedly failing job
@@ -456,22 +431,11 @@ def iter_campaign(
             yield _outcome(twin, record, cached=True)
 
     if jobs is not None and jobs > 1 and len(fresh) > 1:
-        for done_job in _run_pool(
-            fresh, jobs, store, detail, reporter, batch, policy
-        ):
-            yield from land(done_job)
+        landed = _run_pool(fresh, jobs, store, detail, reporter, batch, policy)
     else:
-        for job in fresh:
-            if policy.enabled:
-                encoded, elapsed = _execute_with_policy(job, detail, policy)
-            else:
-                started = time.monotonic()
-                encoded = execute_job(job, detail)
-                elapsed = time.monotonic() - started
-            store.append(_record(job, encoded, detail, elapsed))
-            if reporter is not None:
-                reporter.job_done()
-            yield from land(job)
+        landed = _run_inline(fresh, store, detail, reporter, policy)
+    for job in landed:
+        yield from land(job)
     if reporter is not None:
         reporter.finish()
 
@@ -498,11 +462,10 @@ def run_campaign(
     *jobs* > 1 fans pending work over a ``ProcessPoolExecutor``;
     ``None``/1 runs the sequential fallback in this process — the two
     paths produce identical results because every job world is
-    deterministic in its spec.  *store* (a :class:`ResultStore`, a
-    JSONL path, or a shard-directory path) makes the campaign
-    resumable: jobs whose key is already stored are returned from
-    cache without recomputation.  Jobs sharing a key (identical
-    parameters) execute once.  *batch* controls pool dispatch
+    deterministic in its spec.  *store* (a :class:`ResultStore` or a
+    shard-directory path) makes the campaign resumable: jobs whose key
+    is already stored are returned from cache without recomputation.
+    Jobs sharing a key (identical parameters) execute once.  *batch* controls pool dispatch
     granularity (see :func:`iter_campaign`).
 
     This materializes every outcome — fine for grids up to a few
@@ -513,9 +476,11 @@ def run_campaign(
         job_list = spec.expand()
     else:
         job_list = list(spec)
-    by_id = {
-        id(job): index for index, job in enumerate(job_list)
-    }
+    #: each job object's positions, in order: a job listed twice
+    #: yields twice, once per position
+    positions: Dict[int, List[int]] = {}
+    for index, job in enumerate(job_list):
+        positions.setdefault(id(job), []).append(index)
     outcomes: List[Optional[JobOutcome]] = [None] * len(job_list)
     for outcome in iter_campaign(
         job_list if not isinstance(spec, CampaignSpec) else spec,
@@ -528,7 +493,7 @@ def run_campaign(
         retries=retries,
         retry_backoff_s=retry_backoff_s,
     ):
-        outcomes[by_id[id(outcome.job)]] = outcome
+        outcomes[positions[id(outcome.job)].pop(0)] = outcome
     missing = [job_list[i].job_id for i, o in enumerate(outcomes) if o is None]
     if missing:  # pragma: no cover - defensive
         raise RuntimeError(f"jobs finished without a record: {missing[:3]}")
@@ -537,6 +502,26 @@ def run_campaign(
 
 def _chunk(jobs: List[JobSpec], size: int) -> List[List[JobSpec]]:
     return [jobs[i : i + size] for i in range(0, len(jobs), size)]
+
+
+def _run_inline(
+    pending: List[JobSpec],
+    store: ResultStore,
+    detail: str,
+    reporter: Optional[ProgressReporter],
+    policy: RetryPolicy,
+) -> Iterator[JobSpec]:
+    """The sequential fallback: one-job batches in this process.
+
+    Yields each job right after its record is committed; a failure
+    propagates once the job's (empty) batch has been handled, exactly
+    as the pool does.
+    """
+    for job in pending:
+        results, error = _pool_worker_batch([job], detail, policy)
+        yield from _commit(results, {job.key: job}, store, detail, reporter)
+        if error is not None:
+            raise error
 
 
 def _run_pool(
@@ -565,55 +550,22 @@ def _run_pool(
     batches = _chunk(pending, batch)
     first_error: Optional[BaseException] = None
     with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
-        if batch == 1:
-            # the historical per-job path, kept verbatim as the
-            # dispatch-overhead baseline (`campaign.worlds_per_s`
-            # A/Bs against it): one task and one fsync'd append per job
-            futures = {
-                pool.submit(_pool_worker, job, detail, policy)
-                for job in pending
-            }
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        key, encoded, elapsed = future.result()
-                    except BaseException as exc:  # noqa: BLE001
-                        if first_error is None:
-                            first_error = exc
-                            for queued in futures:
-                                queued.cancel()
-                        continue
-                    store.append(_record(by_key[key], encoded, detail, elapsed))
-                    if reporter is not None:
-                        reporter.job_done()
-                    yield by_key[key]
-        else:
-            futures = {
-                pool.submit(_pool_worker_batch, chunk, detail, policy)
-                for chunk in batches
-            }
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        results, error = future.result()
-                    except BaseException as exc:  # noqa: BLE001
-                        results, error = [], exc
-                    if results:
-                        store.append_batch(
-                            [
-                                _record(by_key[key], encoded, detail, elapsed)
-                                for key, encoded, elapsed in results
-                            ]
-                        )
-                        if reporter is not None:
-                            reporter.job_done(len(results))
-                    if error is not None and first_error is None:
-                        first_error = error
-                        for queued in futures:
-                            queued.cancel()
-                    for key, _, _ in results:
-                        yield by_key[key]
+        futures = {
+            pool.submit(_pool_worker_batch, chunk, detail, policy)
+            for chunk in batches
+        }
+        while futures:
+            done, futures = wait(futures, return_when=FIRST_COMPLETED)
+            for future in done:
+                try:
+                    results, error = future.result()
+                except BaseException as exc:  # noqa: BLE001
+                    results, error = [], exc
+                landed = _commit(results, by_key, store, detail, reporter)
+                if error is not None and first_error is None:
+                    first_error = error
+                    for queued in futures:
+                        queued.cancel()
+                yield from landed
     if first_error is not None:
         raise first_error

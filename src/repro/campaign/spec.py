@@ -2,26 +2,13 @@
 
 A *campaign* is a grid of independent MFC jobs — scenario × stage ×
 config-variant × planner × seed — expanded into :class:`JobSpec`
-entries whose order and seeding are deterministic.  Each job carries everything a
-worker process needs to rebuild its world from scratch, plus a
-*stable key*: a SHA-256 over a canonical encoding of the
-execution-relevant parameters.  The key is what makes campaigns
+entries whose order and seeding are deterministic.  Each job carries a
+declarative :class:`~repro.worlds.spec.WorldSpec`, which is everything
+a worker process needs to rebuild its world from scratch, plus a
+*stable key*: a SHA-256 over a canonical encoding of the world, the
+time limit and the release.  The key is what makes campaigns
 resumable — an interrupted run skips every job whose key is already in
 the result store, and repeated benchmark runs hit cache.
-
-Three job payloads exist:
-
-- **world jobs** carry a declarative
-  :class:`~repro.worlds.spec.WorldSpec` verbatim — the preferred
-  payload: anything the world layer can describe (preset scenarios,
-  ablation topologies, named synthetic servers) is campaignable;
-- **scenario jobs** rebuild an :class:`~repro.core.runner.MFCRunner`
-  world from ``(scenario, fleet, config, seed, ...)`` fields — the
-  historical §4/§5 payload, kept so existing job keys stay stable;
-- **callable jobs** name a module-level function (``"pkg.mod:func"``)
-  and JSON-able kwargs — the residual escape hatch for jobs that
-  post-process a world beyond its ``MFCResult`` (e.g. the
-  synchronization ablation's access-log arrival offsets).
 """
 
 from __future__ import annotations
@@ -52,82 +39,39 @@ def derive_site_seed(base_seed: int, site_index: int) -> int:
 
 @dataclass
 class JobSpec:
-    """One independent unit of campaign work."""
+    """One independent unit of campaign work: a world run to completion."""
 
     job_id: str
-    #: scenario-job payload
-    scenario: Optional[Scenario] = None
-    stage_kinds: Optional[Tuple[StageKind, ...]] = None
-    config: Optional[MFCConfig] = None
-    fleet_spec: Optional[FleetSpec] = None
-    seed: int = 0
-    #: extra MFCRunner.build knobs (use_naive_scheduling, ...)
-    runner_kwargs: Dict = field(default_factory=dict)
+    world: WorldSpec
     time_limit_s: float = 1e7
-    #: callable-job payload: ``"package.module:function"``
-    func: Optional[str] = None
-    kwargs: Dict = field(default_factory=dict)
-    #: world-job payload: a declarative world, carried verbatim
-    world: Optional[WorldSpec] = None
     #: passthrough labels (site_id, stratum, ...) — never hashed
     meta: Dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        payloads = [
-            p for p in (self.scenario, self.func, self.world) if p is not None
-        ]
-        if len(payloads) != 1:
-            raise ValueError(
-                f"job {self.job_id!r} needs exactly one of scenario=, "
-                "func= or world="
+        if not isinstance(self.world, WorldSpec):
+            raise TypeError(
+                f"job {self.job_id!r}: world must be a WorldSpec, "
+                f"got {type(self.world).__name__}"
             )
-        if self.func is not None and ":" not in self.func:
-            raise ValueError(f"func must look like 'pkg.mod:callable': {self.func!r}")
 
     @property
     def key(self) -> str:
         """Stable identity of this job's execution parameters."""
         cached = self.__dict__.get("_key")
         if cached is None:
-            payload = {
-                # simulator behaviour can change between releases;
-                # versioning the key keeps old stores from silently
-                # replaying stale results (wipe the store, or bump
-                # __version__, after behavioural changes mid-release)
-                "repro_version": __version__,
-                "scenario": self.scenario,
-                "stage_kinds": self.stage_kinds,
-                "config": self.config,
-                "fleet_spec": self.fleet_spec,
-                "seed": self.seed,
-                "runner_kwargs": self.runner_kwargs,
-                "time_limit_s": self.time_limit_s,
-                "func": self.func,
-                "kwargs": self.kwargs,
-            }
-            # only present for world jobs, so pre-existing scenario and
-            # callable job keys stay byte-stable across releases
-            if self.world is not None:
-                payload["world"] = self.world
-            cached = stable_key(payload)
+            cached = stable_key(
+                {
+                    # simulator behaviour can change between releases;
+                    # versioning the key keeps old stores from silently
+                    # replaying stale results (wipe the store, or bump
+                    # __version__, after behavioural changes mid-release)
+                    "repro_version": __version__,
+                    "world": self.world,
+                    "time_limit_s": self.time_limit_s,
+                }
+            )
             self.__dict__["_key"] = cached
         return cached
-
-    @classmethod
-    def from_world(
-        cls,
-        job_id: str,
-        world: WorldSpec,
-        time_limit_s: float = 1e7,
-        meta: Optional[Dict] = None,
-    ) -> "JobSpec":
-        """A job that runs one declarative world to completion."""
-        return cls(
-            job_id=job_id,
-            world=world,
-            time_limit_s=time_limit_s,
-            meta=dict(meta or {}),
-        )
 
 
 ScenarioLike = Union[PopulationSite, Tuple[str, Scenario], Scenario]
@@ -192,19 +136,16 @@ class CampaignSpec:
         historical study seeding — otherwise the base seed is used
         unchanged for every scenario.
 
-        Stage entries may be legacy :class:`StageKind` members or
-        registry stage *names* ("Upload", "CacheBust", ...); *planners*
-        adds an epoch-strategy axis of ``(label, PlannerSpec or
-        None)`` pairs.  A ``StageKind`` entry under the default planner
-        expands to the historical scenario-job payload — its stable key
-        is byte-identical to every store written before stages were
-        pluggable — while named stages and non-default planners expand
-        to declarative world jobs.
+        Stage entries may be :class:`StageKind` members or registry
+        stage *names* ("Upload", "CacheBust", ...); every cell is a world
+        job selecting its one stage by name.  *planners* adds an
+        epoch-strategy axis of ``(label, PlannerSpec or None)`` pairs.
+        *runner_kwargs* carries extra :class:`WorldSpec` knobs
+        (``use_naive_scheduling``, ``monitor_interval_s``, ...).
         """
         rows = _normalize_scenarios(scenarios)
-        # runner_kwargs carries extra world knobs (use_naive_scheduling,
-        # monitor_interval_s, ...); axes the grid manages itself must
-        # come through their own parameters on every cell type
+        # axes the grid manages itself must come through their own
+        # parameters, not ride in as world knobs
         reserved = sorted(
             set(runner_kwargs or {})
             & {"scenario", "fleet", "fleet_spec", "config", "seed",
@@ -215,82 +156,55 @@ class CampaignSpec:
                 f"runner_kwargs may not carry grid axes: {reserved}; use "
                 "the dedicated grid parameters instead"
             )
+        fleet = fleet_spec if fleet_spec is not None else FleetSpec()
         jobs: List[JobSpec] = []
         for base_seed in seeds:
             for variant_name, config in variants:
                 for planner_label, planner in planners:
                     # an explicit default-linear entry IS the default:
-                    # fold it so the cell shares the default cell's key
-                    # (and, for StageKind stages, its legacy payload)
+                    # fold it so the cell shares the default cell's id
                     if planner is not None and planner == PlannerSpec():
                         planner = None
+                    planner_tag = "" if planner is None else f"|{planner_label}"
                     for stage in stages:
-                        legacy = isinstance(stage, StageKind) and planner is None
                         stage_name = (
                             stage.value
                             if isinstance(stage, StageKind)
                             else stage_named(stage).name
                         )
                         for index, (sid, scenario, extra) in enumerate(rows):
-                            seed = (
-                                derive_site_seed(base_seed, index)
-                                if per_site_seeding
-                                else base_seed
+                            world = WorldSpec(
+                                scenario=scenario,
+                                fleet=fleet,
+                                config=config if config is not None else MFCConfig(),
+                                seed=(
+                                    derive_site_seed(base_seed, index)
+                                    if per_site_seeding
+                                    else base_seed
+                                ),
+                                stages=(stage_name,),
+                                planner=planner,
+                                **dict(runner_kwargs or {}),
                             )
-                            planner_tag = (
-                                "" if planner is None else f"|{planner_label}"
-                            )
-                            job_id = (
-                                f"{sid}|{stage_name}|{variant_name}"
-                                f"|seed{base_seed}{planner_tag}"
-                            )
-                            meta = {
-                                "scenario_id": sid,
-                                "stage": stage_name,
-                                "variant": variant_name,
-                                "planner": planner_label,
-                                "base_seed": base_seed,
-                                "index": index,
-                                **extra,
-                            }
-                            if legacy:
-                                jobs.append(
-                                    JobSpec(
-                                        job_id=job_id,
-                                        scenario=scenario,
-                                        stage_kinds=(stage,),
-                                        config=config,
-                                        fleet_spec=fleet_spec,
-                                        seed=seed,
-                                        runner_kwargs=dict(runner_kwargs or {}),
-                                        time_limit_s=time_limit_s,
-                                        meta=meta,
-                                    )
-                                )
-                            else:
-                                world = WorldSpec(
-                                    scenario=scenario,
-                                    fleet=(
-                                        fleet_spec
-                                        if fleet_spec is not None
-                                        else FleetSpec()
+                            jobs.append(
+                                JobSpec(
+                                    job_id=(
+                                        f"{sid}|{stage_name}|{variant_name}"
+                                        f"|seed{base_seed}{planner_tag}"
                                     ),
-                                    config=(
-                                        config if config is not None else MFCConfig()
-                                    ),
-                                    seed=seed,
-                                    stages=(stage_name,),
-                                    planner=planner,
-                                    **dict(runner_kwargs or {}),
+                                    world=world,
+                                    time_limit_s=time_limit_s,
+                                    meta={
+                                        "scenario_id": sid,
+                                        "stage": stage_name,
+                                        "variant": variant_name,
+                                        "planner": planner_label,
+                                        "base_seed": base_seed,
+                                        "index": index,
+                                        **extra,
+                                    },
                                 )
-                                jobs.append(
-                                    JobSpec.from_world(
-                                        job_id,
-                                        world,
-                                        time_limit_s=time_limit_s,
-                                        meta=meta,
-                                    )
-                                )
+                            )
         return cls(name=name, jobs=jobs)
 
     @classmethod

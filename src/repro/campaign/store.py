@@ -1,4 +1,4 @@
-"""Resumable result store: legacy single-file JSONL or key-range shards.
+"""Resumable result store: a directory of key-range shards.
 
 One line per finished job:
 
@@ -11,21 +11,17 @@ so resuming is always safe.  A ``"full"``-detail record satisfies a
 ``"summary"`` lookup (it is a superset); when both exist for one key,
 the fuller record wins.
 
-Two on-disk layouts share that contract:
+A store path is a directory of ``shard-NN.jsonl`` files, records
+routed by the leading bytes of their job key.  Shard indexes load
+lazily (a lookup touches only the one shard its key routes to) and
+:meth:`ResultStore.append_batch` commits a whole worker batch with one
+write + one ``fsync`` per touched shard, which is what keeps 100k-job
+campaigns off the per-record fsync path.
 
-- **legacy single file** — a ``*.jsonl`` path holds every record, the
-  PR-1 format; existing caches keep loading unchanged;
-- **sharded directory** — any other path becomes a directory of
-  ``shard-NN.jsonl`` files, records routed by the leading bytes of
-  their job key.  Shard indexes load lazily (a lookup touches only the
-  one shard its key routes to) and :meth:`append_batch` commits a
-  whole worker batch with one write + one ``fsync`` per touched shard,
-  which is what keeps 100k-job campaigns off the per-record fsync
-  path.
-
-:meth:`compact` rewrites shards in place, dropping torn/corrupt lines
-and superseded duplicates (summary records shadowed by a full record,
-re-runs of the same key), and reports the bytes reclaimed.
+:meth:`ResultStore.compact` rewrites shards in place, dropping
+torn/corrupt lines and superseded duplicates (summary records shadowed
+by a full record, re-runs of the same key), and reports the bytes
+reclaimed.
 """
 
 from __future__ import annotations
@@ -51,8 +47,11 @@ def shard_index(key: str, n_shards: int = N_SHARDS) -> int:
         return sum(key.encode("utf-8", "replace")) % n_shards
 
 
-def _load_lines(path: Path) -> Tuple[List[Dict], int, bool]:
-    """Parse one JSONL file: (records, mid-file corrupt count, torn tail).
+def _load_lines(path: Path) -> Tuple[List[Dict], int, bool, int]:
+    """Parse one shard: (records, mid-file corrupt count, torn tail, lines).
+
+    *lines* counts the non-blank lines on disk, so callers that report
+    on a shard never read it twice.
 
     Only the *trailing* line may be silently partial — that is the
     kill-mid-append signature and everything before it is intact.  A
@@ -63,11 +62,13 @@ def _load_lines(path: Path) -> Tuple[List[Dict], int, bool]:
     records: List[Dict] = []
     bad_lines = 0  # malformed lines seen so far (tail status unknown yet)
     tail_torn = False
+    lines = 0
     with path.open("r", encoding="utf-8") as fh:
         for line in fh:
             stripped = line.strip()
             if not stripped:
                 continue
+            lines += 1
             try:
                 record = json.loads(stripped)
             except json.JSONDecodeError:
@@ -82,17 +83,15 @@ def _load_lines(path: Path) -> Tuple[List[Dict], int, bool]:
             records.append(record)
     if tail_torn:
         bad_lines -= 1  # the torn trailing line is expected damage
-    return records, bad_lines, tail_torn
+    return records, bad_lines, tail_torn, lines
 
 
 class ResultStore:
     """Append-only result cache keyed by stable job hash.
 
     ``path=None`` gives an in-memory store: same interface, nothing
-    persisted — the executor uses one when no cache file is wanted.
-    A ``*.jsonl`` path (or an existing regular file) selects the
-    legacy single-file layout; any other path selects the sharded
-    directory layout.
+    persisted — the executor uses one when no cache is wanted.  Any
+    other path names the shard directory (created on first append).
     """
 
     def __init__(
@@ -101,37 +100,27 @@ class ResultStore:
         n_shards: int = N_SHARDS,
     ) -> None:
         self.path = Path(path) if path is not None else None
-        self.sharded = (
-            self.path is not None
-            and not self.path.is_file()
-            and (self.path.is_dir() or self.path.suffix != ".jsonl")
-        )
-        self.n_shards = n_shards if self.sharded else 1
+        if self.path is not None and self.path.is_file():
+            raise ValueError(
+                f"result store {self.path} is a regular file: the "
+                "single-file JSONL layout was removed in repro 1.2.0; a "
+                "store is a directory of shard-NN.jsonl files"
+            )
+        self.n_shards = n_shards
         #: per-shard key → record maps; a shard is absent until loaded
         self._shards: Dict[int, Dict[str, Dict]] = {}
-        if self.path is None:
-            self._shards[0] = {}
 
     # -- layout ---------------------------------------------------------------
-
-    def _shard_of(self, key: str) -> int:
-        return shard_index(key, self.n_shards) if self.sharded else 0
 
     def shard_path(self, shard: int) -> Optional[Path]:
         """On-disk file backing *shard* (None for in-memory stores)."""
         if self.path is None:
             return None
-        if not self.sharded:
-            return self.path
         return self.path / f"shard-{shard:02d}.jsonl"
 
     def shard_paths(self) -> List[Path]:
         """Every shard file that exists on disk."""
-        if self.path is None:
-            return []
-        if not self.sharded:
-            return [self.path] if self.path.exists() else []
-        if not self.path.is_dir():
+        if self.path is None or not self.path.is_dir():
             return []
         return sorted(self.path.glob("shard-*.jsonl"))
 
@@ -142,7 +131,7 @@ class ResultStore:
             records = self._shards[shard] = {}
             path = self.shard_path(shard)
             if path is not None and path.is_file():
-                loaded, corrupt, _ = _load_lines(path)
+                loaded, corrupt, _, _ = _load_lines(path)
                 if corrupt:
                     warnings.warn(
                         f"result store {path}: skipped {corrupt} corrupt "
@@ -173,11 +162,11 @@ class ResultStore:
         return sum(len(records) for records in self._shards.values())
 
     def __contains__(self, key: str) -> bool:
-        return key in self._shard_records(self._shard_of(key))
+        return key in self._shard_records(shard_index(key, self.n_shards))
 
     def get(self, key: str, detail: str) -> Optional[Dict]:
         """The stored record for *key*, if its detail level suffices."""
-        record = self._shard_records(self._shard_of(key)).get(key)
+        record = self._shard_records(shard_index(key, self.n_shards)).get(key)
         if record is None:
             return None
         if record.get("detail") == detail or record.get("detail") == FULL:
@@ -216,15 +205,12 @@ class ResultStore:
             return
         by_shard: Dict[int, List[Dict]] = {}
         for record in records:
-            shard = self._shard_of(record["key"])
+            shard = shard_index(record["key"], self.n_shards)
             self._remember(self._shard_records(shard), record)
             by_shard.setdefault(shard, []).append(record)
         if self.path is None:
             return
-        if self.sharded:
-            self.path.mkdir(parents=True, exist_ok=True)
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.mkdir(parents=True, exist_ok=True)
         for shard, batch in sorted(by_shard.items()):
             lines = "".join(
                 json.dumps(record, separators=(",", ":")) + "\n"
@@ -241,7 +227,7 @@ class ResultStore:
         """Integrity report for every shard file, without rewriting.
 
         Returns ``{"shards": [per-shard dicts], "totals": {...},
-        "damaged": bool}``.  Each shard dict counts ``lines`` (non-empty
+        "damaged": bool}``.  Each shard dict counts ``lines`` (non-blank
         lines on disk), ``records`` (parseable result lines), ``live``
         (records that survive dedup), ``superseded`` (shadowed
         duplicates), ``corrupt`` (malformed *mid-file* lines — real
@@ -263,7 +249,7 @@ class ResultStore:
             "dead_letters": 0,
         }
         for path in self.shard_paths():
-            loaded, corrupt, torn = _load_lines(path)
+            loaded, corrupt, torn, lines = _load_lines(path)
             live: Dict[str, Dict] = {}
             for record in loaded:
                 self._remember(live, record)
@@ -271,11 +257,6 @@ class ResultStore:
                 1
                 for record in live.values()
                 if record.get("result", {}).get("kind") == "dead-letter"
-            )
-            lines = sum(
-                1
-                for line in path.read_text(encoding="utf-8").splitlines()
-                if line.strip()
             )
             shards.append(
                 {
@@ -320,14 +301,12 @@ class ResultStore:
             "bytes_after": 0,
         }
         for path in self.shard_paths():
-            loaded, _, _ = _load_lines(path)
+            loaded, _, _, lines = _load_lines(path)
             live: Dict[str, Dict] = {}
             for record in loaded:
                 self._remember(live, record)
             stats["files"] += 1
-            stats["lines_before"] += sum(
-                1 for line in path.read_text(encoding="utf-8").splitlines() if line
-            )
+            stats["lines_before"] += lines
             stats["records_after"] += len(live)
             stats["bytes_before"] += path.stat().st_size
             tmp = path.with_suffix(".jsonl.tmp")
@@ -338,15 +317,7 @@ class ResultStore:
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
             stats["bytes_after"] += path.stat().st_size
-            # refresh the in-memory view of this file's records
-            if self.sharded:
-                try:
-                    index = int(path.stem.split("-", 1)[1])
-                except (IndexError, ValueError):
-                    index = None
-                if index is not None:
-                    self._shards.pop(index, None)
-            else:
-                self._shards.pop(0, None)
+        # the rewritten shards reload on their next lookup
+        self._shards.clear()
         stats["bytes_reclaimed"] = stats["bytes_before"] - stats["bytes_after"]
         return stats

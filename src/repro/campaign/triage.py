@@ -154,7 +154,7 @@ def plan_triage_jobs(
             indicator=True,
         )
         jobs.append(
-            JobSpec.from_world(
+            JobSpec(
                 f"{sid}|indicator|seed{seed}",
                 world,
                 time_limit_s=time_limit_s,
@@ -275,7 +275,7 @@ def _active_jobs(
             crowd_mode=crowd_mode,
         )
         jobs.append(
-            JobSpec.from_world(
+            JobSpec(
                 f"{sid}|triage-active|{stage}|seed{seed}{mode_suffix}",
                 world,
                 time_limit_s=time_limit_s,
@@ -463,7 +463,7 @@ def score_indicator(
     )
     mode_suffix = f"|{crowd_mode}" if crowd_mode else ""
     truth_jobs = [
-        JobSpec.from_world(
+        JobSpec(
             f"{sid}|triage-truth|seed{seed}{mode_suffix}",
             WorldSpec(
                 scenario=scenario,

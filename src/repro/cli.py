@@ -8,13 +8,13 @@
     python -m repro run univ2 --mr 2 --threshold-ms 250 --stage Base
     python -m repro run qtnp --stages Upload --stages CacheBust
     python -m repro run qtnp --planner bisect --max-crowd 150
-    python -m repro run qtnp --jobs 3 --cache /tmp/qtnp.jsonl
+    python -m repro run qtnp --jobs 3 --cache /tmp/qtnp.d
     python -m repro run qtnp --faults stall --faults report-loss
     python -m repro spec dump qtnp --max-crowd 55 --seed 1 > world.json
     python -m repro run --spec world.json
-    python -m repro campaign quantcast --scale 0.1 --jobs 8 --cache /tmp/qc.jsonl
+    python -m repro campaign quantcast --scale 0.1 --jobs 8 --cache /tmp/qc.d
     python -m repro campaign quantcast --jobs 8 --job-timeout 300 --retries 1
-    python -m repro campaign --fsck /tmp/qc.cache
+    python -m repro campaign --fsck /tmp/qc.d
     python -m repro chaos --quick
     python -m repro perf --quick --check --max-regression 0.25
 
@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(any value, even 1, switches to per-stage "
                           "worlds; default: all stages share one world)")
     run.add_argument("--cache", default=None, metavar="PATH",
-                     help="JSONL result store for --jobs runs (requires "
-                          "--jobs): finished stages are never recomputed")
+                     help="result-store directory for --jobs runs "
+                          "(requires --jobs): finished stages are never "
+                          "recomputed")
     run.add_argument("--quiet", action="store_true",
                      help="print only the one-line stage outcomes")
 
@@ -134,23 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker processes (default: sequential)")
     campaign.add_argument("--batch", type=int, default=None, metavar="B",
                           help="worlds per worker task (default: auto-sized "
-                               "by estimated world cost; 1 = per-job "
-                               "dispatch)")
-    campaign.add_argument("--cache", default=None, metavar="PATH",
-                          help="result store: a *.jsonl path is a legacy "
-                               "single file, any other path a sharded "
-                               "directory of shard-NN.jsonl files; an "
-                               "interrupted campaign resumes from it "
-                               "without recomputation")
-    campaign.add_argument("--compact", default=None, metavar="CACHE",
-                          help="compact a result store in place (drop "
-                               "superseded and corrupt lines, report bytes "
-                               "reclaimed) and exit")
-    campaign.add_argument("--fsck", default=None, metavar="CACHE",
-                          help="integrity-check a result store without "
-                               "rewriting it (per-shard line/record/"
-                               "corruption counts) and exit; nonzero when "
-                               "any shard has mid-file damage")
+                               "by estimated world cost)")
+    campaign.add_argument("--cache", default=None, metavar="DIR",
+                          help="result-store directory of shard-NN.jsonl "
+                               "files (created if missing; a regular file "
+                               "is rejected); an interrupted campaign "
+                               "resumes from it without recomputation")
+    campaign.add_argument("--compact", default=None, metavar="DIR",
+                          help="compact a result-store directory in place "
+                               "(drop superseded and corrupt lines, report "
+                               "bytes reclaimed) and exit")
+    campaign.add_argument("--fsck", default=None, metavar="DIR",
+                          help="integrity-check a result-store directory "
+                               "without rewriting it (per-shard line/"
+                               "record/corruption counts) and exit; "
+                               "nonzero when any shard has mid-file damage")
     campaign.add_argument("--job-timeout", type=float, default=None,
                           metavar="SEC",
                           help="dead-letter mode: wall-clock budget per "
@@ -613,24 +612,18 @@ def _run_stages_campaign(args, world: WorldSpec) -> int:
     import dataclasses
 
     if world.stages is not None:
-        # registry-named selection: per-stage worlds by name
         names = list(world.stages)
-        worlds = [
-            dataclasses.replace(world, stages=(name,)) for name in names
-        ]
     else:
-        # legacy kind selection, kept byte-identical so existing
-        # ``--jobs --cache`` stores keep serving their job keys
         kinds = world.stage_kinds if world.stage_kinds else tuple(StageKind)
         names = [kind.value for kind in kinds]
-        worlds = [
-            dataclasses.replace(world, stage_kinds=(kind,)) for kind in kinds
-        ]
+    # one registry-named stage per world: for a single stage this
+    # resolves to the same stage plan as the kind selection
     job_specs = [
-        JobSpec.from_world(
-            f"{args.scenario}|{name}|seed{world.seed}", stage_world
+        JobSpec(
+            f"{args.scenario}|{name}|seed{world.seed}",
+            dataclasses.replace(world, stages=(name,), stage_kinds=None),
         )
-        for name, stage_world in zip(names, worlds)
+        for name in names
     ]
     spec = CampaignSpec(name=f"run-{args.scenario}", jobs=job_specs)
     outcomes = run_campaign(
@@ -676,10 +669,20 @@ def cmd_campaign(args) -> int:
         startup_population,
     )
 
-    if args.fsck is not None:
-        from repro.campaign.store import ResultStore
+    from repro.campaign.store import ResultStore
 
-        store = ResultStore(args.fsck)
+    stores = {}
+    for flag, path in (("--fsck", args.fsck), ("--compact", args.compact),
+                       ("--cache", args.cache)):
+        if path is not None:
+            try:
+                stores[flag] = ResultStore(path)
+            except ValueError as exc:  # a regular file, not a store
+                print(f"repro campaign {flag}: {exc}", file=sys.stderr)
+                return 2
+
+    if args.fsck is not None:
+        store = stores["--fsck"]
         if not store.shard_paths():
             print(f"repro campaign --fsck: no store at {args.fsck}",
                   file=sys.stderr)
@@ -716,9 +719,7 @@ def cmd_campaign(args) -> int:
             return 1
         return 0
     if args.compact is not None:
-        from repro.campaign.store import ResultStore
-
-        store = ResultStore(args.compact)
+        store = stores["--compact"]
         if not store.shard_paths():
             print(f"repro campaign --compact: no store at {args.compact}",
                   file=sys.stderr)
@@ -936,7 +937,7 @@ def cmd_triage(args) -> int:
         seed=args.seed,
         indicator=True,
     )
-    job = JobSpec.from_world(f"{args.scenario}|indicator|seed{args.seed}", world)
+    job = JobSpec(f"{args.scenario}|indicator|seed{args.seed}", world)
     result = decode_result(execute_job(job))
     verdict = classify_indicator(result, config=config, margin=args.margin)
     if args.json:

@@ -132,7 +132,7 @@ def plan_chaos_jobs(
             crowd_mode=crowd_mode,
         )
         jobs.append(
-            JobSpec.from_world(
+            JobSpec(
                 f"chaos|{name}|baseline|seed{seed}{mode_suffix}",
                 base,
                 meta={"scenario": name, "fault": None},
@@ -145,7 +145,7 @@ def plan_chaos_jobs(
                     f"(have: {sorted(FAULT_PRESETS)})"
                 )
             jobs.append(
-                JobSpec.from_world(
+                JobSpec(
                     f"chaos|{name}|{fault}|seed{seed}{mode_suffix}",
                     replace(base, faults=FAULT_PRESETS[fault]()),
                     meta={"scenario": name, "fault": fault},

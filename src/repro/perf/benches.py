@@ -586,27 +586,19 @@ def _micro_world(index: int, seed: int) -> "WorldSpec":
 def bench_campaign(
     n_worlds: int = 4000,
     jobs: int = 2,
-    per_job_worlds: Optional[int] = None,
     seed: int = 0,
     repeats: int = 1,
 ) -> Dict:
-    """Campaign dispatch throughput: batched pool vs per-job dispatch.
+    """Campaign dispatch throughput: batched pool vs the compute floor.
 
-    Runs *n_worlds* micro-worlds three ways: auto-sized worker batches
-    committing through a sharded store (the population-scale path),
-    ``batch=1`` — the PR-1-era per-job dispatch against a single-file
-    store (per-task IPC, one fsync per record) — and sequentially into
-    an in-memory store, which is the pure compute floor.  The floor
-    separates world cost from engine cost: ``dispatch_speedup`` is the
-    raw batched/per-job throughput ratio (compute-bound on one core),
-    while ``overhead_speedup`` divides the two arms' *above-floor*
-    per-world overhead — the dispatch cost itself, which is what
-    batching removes and what dominates 100k-world campaigns on real
-    fleets.  ``worlds_per_s`` (the gated metric) comes from the
-    batched arm.  Each arm rebuilds its job list so all pay identical
-    key-hashing cost, and the fingerprint hashes every result in
-    campaign order — the batched path must stay byte-identical to
-    sequential dispatch.
+    Runs *n_worlds* micro-worlds two ways: auto-sized worker batches
+    committing through a sharded store (the population-scale path,
+    whose ``worlds_per_s`` is the gated metric), and sequentially into
+    an in-memory store, which is the pure compute floor that separates
+    world cost from engine cost.  Each arm rebuilds its job list so
+    both pay identical key-hashing cost, and the fingerprint hashes
+    every batched result in campaign order — batched dispatch must
+    stay byte-identical to sequential dispatch.
     """
     import shutil
     import tempfile
@@ -615,14 +607,13 @@ def bench_campaign(
     from repro.campaign.executor import run_campaign
     from repro.campaign.spec import CampaignSpec, JobSpec
 
-    per_job_n = per_job_worlds if per_job_worlds is not None else n_worlds
     state: Dict = {}
 
     def spec_for(count: int) -> "CampaignSpec":
         return CampaignSpec(
             name="bench-campaign",
             jobs=[
-                JobSpec.from_world(f"bench-{i}", _micro_world(i, seed))
+                JobSpec(f"bench-{i}", _micro_world(i, seed))
                 for i in range(count)
             ],
         )
@@ -637,61 +628,23 @@ def bench_campaign(
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
 
-    def run_per_job() -> None:
-        spec = spec_for(per_job_n)
-        tmp = tempfile.mkdtemp(prefix="bench-campaign-")
-        try:
-            run_campaign(
-                spec,
-                jobs=jobs,
-                store=Path(tmp) / "cache.jsonl",
-                progress=False,
-                batch=1,
-            )
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-
     def run_sequential() -> None:
         run_campaign(spec_for(n_worlds), jobs=None, progress=False)
 
     seconds = _best_of(repeats, run_batched)
-    per_job_seconds = _best_of(repeats, run_per_job)
     seq_seconds = _best_of(repeats, run_sequential)
     digest = hashlib.sha256()
     for outcome in state["outcomes"]:
         digest.update(_result_fingerprint(outcome.result).encode("ascii"))
-    worlds_per_s = n_worlds / seconds if seconds > 0 else 0.0
-    per_job_worlds_per_s = (
-        per_job_n / per_job_seconds if per_job_seconds > 0 else 0.0
-    )
-    floor = seq_seconds / n_worlds
-    batched_overhead = seconds / n_worlds - floor
-    per_job_overhead = per_job_seconds / per_job_n - floor
-    # a batched arm that beats sequential (multi-core) has no
-    # measurable overhead left; clamp at 1 us/world to keep the ratio
-    # finite and JSON-encodable
-    batched_overhead = max(batched_overhead, 1e-6)
     return {
         "seconds": seconds,
         "worlds": n_worlds,
-        "worlds_per_s": worlds_per_s,
-        "per_job_seconds": per_job_seconds,
-        "per_job_worlds": per_job_n,
-        "per_job_worlds_per_s": per_job_worlds_per_s,
+        "worlds_per_s": n_worlds / seconds if seconds > 0 else 0.0,
         "seq_seconds": seq_seconds,
-        "dispatch_speedup": (
-            worlds_per_s / per_job_worlds_per_s if per_job_worlds_per_s else 0.0
-        ),
-        "overhead_us_batched": batched_overhead * 1e6,
-        "overhead_us_per_job": per_job_overhead * 1e6,
-        "overhead_speedup": (
-            per_job_overhead / batched_overhead if per_job_overhead > 0 else 0.0
-        ),
         "fingerprint": "sha256:" + digest.hexdigest(),
         "params": {
             "n_worlds": n_worlds,
             "jobs": jobs,
-            "per_job_worlds": per_job_n,
             "seed": seed,
             "repeats": repeats,
         },
@@ -748,7 +701,7 @@ def bench_cohort_campaign(
         spec = CampaignSpec(
             name=f"bench-cohort-campaign-{key}",
             jobs=[
-                JobSpec.from_world(f"bench-{key}-{i}", world_for(i, mode))
+                JobSpec(f"bench-{key}-{i}", world_for(i, mode))
                 for i in range(n_worlds)
             ],
         )
@@ -832,7 +785,7 @@ def bench_triage_savings(
     fleet = FleetSpec(n_clients=60)
 
     full_jobs = [
-        JobSpec.from_world(
+        JobSpec(
             f"{sid}|full|seed{seed}",
             WorldSpec(
                 scenario=scenario,

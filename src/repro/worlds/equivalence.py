@@ -105,7 +105,7 @@ def plan_equivalence_jobs(
         )
         for mode, world in (("exact", base), ("cohort", replace(base, crowd_mode="cohort"))):
             jobs.append(
-                JobSpec.from_world(
+                JobSpec(
                     f"equiv|{name}|{mode}|seed{seed}",
                     world,
                     meta={"scenario": name, "mode": mode},

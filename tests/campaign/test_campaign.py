@@ -17,6 +17,7 @@ from repro.campaign import (
     stable_key,
 )
 from repro.analysis import run_stage_study
+from repro.campaign.store import shard_index
 from repro.core.config import MFCConfig
 from repro.core.records import (
     ClientReport,
@@ -75,7 +76,7 @@ def test_grid_expansion_is_deterministic():
     assert len(first) == 2 * 2 * 2
     assert [j.job_id for j in first] == [j.job_id for j in second]
     assert [j.key for j in first] == [j.key for j in second]
-    assert [j.seed for j in first] == [j.seed for j in second]
+    assert [j.world.seed for j in first] == [j.world.seed for j in second]
     # all jobs distinct
     assert len({j.key for j in first}) == len(first)
 
@@ -86,15 +87,16 @@ def test_grid_uses_study_seeding():
         sites, StageKind.BASE, config=STUDY_CONFIG, fleet_spec=STUDY_FLEET, seed=3
     )
     jobs = spec.expand()
-    assert [j.seed for j in jobs] == [derive_site_seed(3, i) for i in range(len(sites))]
+    assert [j.world.seed for j in jobs] == [
+        derive_site_seed(3, i) for i in range(len(sites))
+    ]
     assert [j.meta["site_id"] for j in jobs] == [s.site_id for s in sites]
     assert [j.meta["stratum"] for j in jobs] == [s.stratum for s in sites]
 
 
 def test_grid_over_named_stages_and_planners():
-    """The stage/planner axes expand to world jobs; legacy StageKind
-    entries under the default planner stay scenario jobs with the
-    historical ids (so old stores keep serving their keys)."""
+    """The stage/planner axes expand to world jobs selecting their one
+    stage by name; a StageKind entry names its registry stage."""
     from repro.core.epochs import PlannerSpec
 
     spec = CampaignSpec.grid(
@@ -107,10 +109,11 @@ def test_grid_over_named_stages_and_planners():
     jobs = spec.expand()
     assert len(jobs) == 4
     by_id = {j.job_id: j for j in jobs}
-    # legacy cell: scenario payload, id without a planner tag
-    legacy = by_id["qtnp|Base|default|seed0"]
-    assert legacy.scenario is not None and legacy.world is None
-    assert legacy.stage_kinds == (StageKind.BASE,)
+    # StageKind cell under the default planner: id without a planner tag
+    base = by_id["qtnp|Base|default|seed0"]
+    assert base.world.stages == ("Base",)
+    assert base.world.stage_kinds is None
+    assert base.world.planner is None
     # named stage under the default planner: world job selecting by name
     upload = by_id["qtnp|Upload|default|seed0"]
     assert upload.world is not None
@@ -143,8 +146,8 @@ def test_legacy_grid_ids_and_keys_unchanged_by_planner_axis():
 
 def test_explicit_linear_planner_folds_into_the_default_cell():
     """('linear', PlannerSpec('linear')) is byte-identical work to the
-    default cell: it must share the default's job key (and legacy
-    payload), not cache the same simulation twice under a new key."""
+    default cell: it must share the default's job key, not cache the
+    same simulation twice under a new key."""
     from repro.core.epochs import PlannerSpec
 
     spec = CampaignSpec.grid(
@@ -157,7 +160,7 @@ def test_explicit_linear_planner_folds_into_the_default_cell():
     jobs = spec.expand()
     assert len(jobs) == 2
     assert jobs[0].key == jobs[1].key          # deduped by the executor
-    assert all(j.scenario is not None for j in jobs)  # both legacy cells
+    assert jobs[0].job_id == jobs[1].job_id
 
 
 def test_grid_rejects_runner_kwargs_carrying_grid_axes():
@@ -216,22 +219,26 @@ def test_planner_grid_jobs_run(tmp_path):
         variants=(("small", config),),
         fleet_spec=FleetSpec(n_clients=20, unresponsive_fraction=0.0),
     )
-    outcomes = run_campaign(spec, store=tmp_path / "grid.jsonl")
+    outcomes = run_campaign(spec, store=tmp_path / "grid.d")
     assert len(outcomes) == 2
     for outcome in outcomes:
         assert "ConnChurn" in outcome.result.stages
 
 
 def test_stable_key_tracks_execution_parameters():
-    base = dict(scenario=qtnp_server(), stage_kinds=(StageKind.BASE,), seed=1)
-    job = JobSpec(job_id="a", **base)
-    same = JobSpec(job_id="b", meta={"label": "differs"}, **base)
+    def world(**overrides):
+        base = dict(scenario=qtnp_server(), stages=("Base",), seed=1)
+        return WorldSpec(**{**base, **overrides})
+
+    job = JobSpec(job_id="a", world=world())
+    same = JobSpec(job_id="b", world=world(), meta={"label": "differs"})
     assert job.key == same.key  # ids and meta are not execution parameters
-    assert job.key != JobSpec(job_id="c", **{**base, "seed": 2}).key
+    assert job.key != JobSpec(job_id="c", world=world(seed=2)).key
     assert (
         job.key
-        != JobSpec(job_id="d", config=MFCConfig(max_crowd=45), **base).key
+        != JobSpec(job_id="d", world=world(config=MFCConfig(max_crowd=45))).key
     )
+    assert job.key != JobSpec(job_id="e", world=world(), time_limit_s=60.0).key
 
 
 def test_stable_key_ignores_cosmetic_scenario_fields():
@@ -240,23 +247,16 @@ def test_stable_key_ignores_cosmetic_scenario_fields():
 
     scenario = qtnp_server()
     relabeled = dataclasses.replace(scenario, notes="edited annotation")
-    job = JobSpec(job_id="a", scenario=scenario, seed=1)
-    assert JobSpec(job_id="a", scenario=relabeled, seed=1).key == job.key
+    job = JobSpec(job_id="a", world=WorldSpec(scenario=scenario, seed=1))
+    twin = JobSpec(job_id="a", world=WorldSpec(scenario=relabeled, seed=1))
+    assert twin.key == job.key
 
 
 def test_jobspec_payload_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         JobSpec(job_id="neither")
-    with pytest.raises(ValueError):
-        JobSpec(job_id="both", scenario=qtnp_server(), func="m:f")
-    with pytest.raises(ValueError):
-        JobSpec(job_id="colonless", func="no_colon")
-    with pytest.raises(ValueError):
-        JobSpec(
-            job_id="world+func",
-            world=WorldSpec(scenario=qtnp_server()),
-            func="m:f",
-        )
+    with pytest.raises(TypeError, match="world must be a WorldSpec"):
+        JobSpec(job_id="scenario", world=qtnp_server())
 
 
 def small_world(seed=1, max_crowd=15):
@@ -270,36 +270,26 @@ def small_world(seed=1, max_crowd=15):
 
 
 def test_world_job_keys_track_the_spec():
-    job = JobSpec.from_world("w", small_world(seed=1))
-    same = JobSpec.from_world("relabeled", small_world(seed=1), meta={"x": 1})
+    job = JobSpec("w", small_world(seed=1))
+    same = JobSpec("relabeled", small_world(seed=1), meta={"x": 1})
     assert job.key == same.key  # ids and meta are not execution parameters
-    assert job.key != JobSpec.from_world("w2", small_world(seed=2)).key
-    # a world job never collides with the equivalent scenario job
-    scenario_job = JobSpec(
-        job_id="s",
-        scenario=qtnp_server(),
-        fleet_spec=FleetSpec(n_clients=20, unresponsive_fraction=0.0),
-        config=MFCConfig(max_crowd=15, min_clients=10),
-        stage_kinds=(StageKind.BASE,),
-        seed=1,
-    )
-    assert job.key != scenario_job.key
+    assert job.key != JobSpec("w2", small_world(seed=2)).key
 
 
 def test_world_jobs_run_and_cache(tmp_path):
     spec = CampaignSpec(
         name="worlds",
         jobs=[
-            JobSpec.from_world(f"w{seed}", small_world(seed=seed))
+            JobSpec(f"w{seed}", small_world(seed=seed))
             for seed in (1, 2)
         ],
     )
-    outcomes = run_campaign(spec, jobs=2, store=tmp_path / "worlds.jsonl")
+    outcomes = run_campaign(spec, jobs=2, store=tmp_path / "worlds.d")
     direct = [small_world(seed=seed).build().run() for seed in (1, 2)]
     assert [o.result.stage("Base").describe() for o in outcomes] == [
         r.stage("Base").describe() for r in direct
     ]
-    repeat = run_campaign(spec, store=tmp_path / "worlds.jsonl")
+    repeat = run_campaign(spec, store=tmp_path / "worlds.d")
     assert all(o.cached for o in repeat)
 
 
@@ -307,7 +297,7 @@ def test_synthetic_world_jobs_run():
     spec = CampaignSpec(
         name="synthetic",
         jobs=[
-            JobSpec.from_world(
+            JobSpec(
                 "linear",
                 WorldSpec(
                     synthetic=SyntheticSpec(
@@ -433,20 +423,27 @@ def record(key, detail=SUMMARY, value=0):
 
 
 def test_store_roundtrip_and_torn_line(tmp_path):
-    path = tmp_path / "store.jsonl"
+    path = tmp_path / "store.d"
     store = ResultStore(path)
     store.append(record("a"))
     store.append(record("b"))
     # simulate a kill mid-append: a torn trailing line
-    with path.open("a") as fh:
+    with store.shard_path(shard_index("c")).open("a") as fh:
         fh.write('{"key": "c", "resu')
     reloaded = ResultStore(path)
     assert len(reloaded) == 2
     assert "a" in reloaded and "b" in reloaded and "c" not in reloaded
 
 
+def test_store_rejects_a_regular_file(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text(json.dumps(record("a")) + "\n")
+    with pytest.raises(ValueError, match="single-file JSONL layout was removed"):
+        ResultStore(path)
+
+
 def test_store_full_records_satisfy_summary_lookups(tmp_path):
-    store = ResultStore(tmp_path / "store.jsonl")
+    store = ResultStore(tmp_path / "store.d")
     store.append(record("a", detail=SUMMARY, value=1))
     assert store.get("a", SUMMARY) is not None
     assert store.get("a", FULL) is None  # summary cannot serve full
@@ -460,6 +457,27 @@ def test_store_full_records_satisfy_summary_lookups(tmp_path):
 # -- executor ---------------------------------------------------------------------
 
 
+def micro_world(seed=0, crowd_mode=None):
+    """A millisecond world: one client against a linear synthetic server."""
+    return WorldSpec(
+        synthetic=SyntheticSpec(
+            model="linear", params={"seconds_per_request": 0.001}
+        ),
+        fleet=lan_fleet(1),
+        config=MFCConfig(
+            threshold_s=0.1, max_crowd=1, initial_crowd=1, crowd_step=1,
+            min_clients=1,
+        ),
+        seed=seed,
+        crowd_mode=crowd_mode,
+    )
+
+
+def broken_world():
+    """A world that raises at build() — in any process."""
+    return micro_world(crowd_mode="bogus")
+
+
 def test_parallel_study_matches_sequential(tmp_path):
     sites = tiny_population()
     kwargs = dict(
@@ -470,7 +488,7 @@ def test_parallel_study_matches_sequential(tmp_path):
         sites,
         StageKind.BASE,
         jobs=2,
-        cache_path=tmp_path / "study.jsonl",
+        cache_path=tmp_path / "study.d",
         **kwargs,
     )
     assert parallel.measurements == sequential.measurements
@@ -484,15 +502,17 @@ def test_campaign_resumes_from_interrupted_store(tmp_path):
     spec = CampaignSpec.for_study(
         sites, StageKind.BASE, config=STUDY_CONFIG, fleet_spec=STUDY_FLEET, seed=1
     )
-    full_path = tmp_path / "full.jsonl"
-    first = run_campaign(spec, store=full_path)
+    full = ResultStore(tmp_path / "full.d")
+    first = run_campaign(spec, store=full)
     assert [o.cached for o in first] == [False] * len(sites)
 
-    # "kill" the campaign after two finished jobs: keep the first two
-    # committed lines, as a mid-run interrupt would
-    lines = full_path.read_text().splitlines()
-    resumed_path = tmp_path / "resumed.jsonl"
-    resumed_path.write_text("\n".join(lines[:2]) + "\n")
+    # "kill" the campaign after two finished jobs: a store holding
+    # only the first two committed records, as a mid-run interrupt
+    # would leave it
+    resumed_path = tmp_path / "resumed.d"
+    ResultStore(resumed_path).append_batch(
+        [full.get(job.key, SUMMARY) for job in spec.jobs[:2]]
+    )
 
     resumed = run_campaign(spec, jobs=2, store=resumed_path)
     assert [o.cached for o in resumed] == [True, True, False, False]
@@ -505,41 +525,30 @@ def test_campaign_resumes_from_interrupted_store(tmp_path):
 
 
 def test_duplicate_jobs_execute_once(tmp_path):
-    job = dict(func="campaign_helpers:double", kwargs={"x": 21})
     spec = CampaignSpec(
         name="dups",
-        jobs=[JobSpec(job_id="a", **job), JobSpec(job_id="b", **job)],
+        jobs=[JobSpec("a", micro_world()), JobSpec("b", micro_world())],
     )
-    outcomes = run_campaign(spec, store=tmp_path / "dups.jsonl")
-    assert [o.result for o in outcomes] == [{"doubled": 42}] * 2
+    outcomes = run_campaign(spec, store=tmp_path / "dups.d")
+    assert outcomes[0].result == outcomes[1].result
     assert [o.cached for o in outcomes] == [False, True]
-    assert len((tmp_path / "dups.jsonl").read_text().splitlines()) == 1
+    assert ResultStore(tmp_path / "dups.d").fsck()["totals"]["lines"] == 1
 
 
-def test_callable_jobs_parallel(tmp_path):
-    spec = CampaignSpec(
-        name="callables",
-        jobs=[
-            JobSpec(
-                job_id=f"double{x}",
-                func="campaign_helpers:double",
-                kwargs={"x": x},
-            )
-            for x in range(4)
-        ],
-    )
-    outcomes = run_campaign(spec, jobs=2, store=tmp_path / "c.jsonl")
-    assert [o.result for o in outcomes] == [{"doubled": 2 * x} for x in range(4)]
+def test_same_job_object_listed_twice(tmp_path):
+    job = JobSpec("a", micro_world())
+    for jobs in (None, 2):
+        outcomes = run_campaign([job, job], jobs=jobs)
+        assert [o.job for o in outcomes] == [job, job]
+        assert [o.cached for o in outcomes] == [False, True]
+        assert outcomes[0].result == outcomes[1].result
 
 
 def test_pool_failure_still_commits_finished_jobs(tmp_path):
-    jobs = [
-        JobSpec(job_id=f"good{x}", func="campaign_helpers:double", kwargs={"x": x})
-        for x in (1, 2)
-    ]
-    jobs.append(JobSpec(job_id="boom", func="campaign_helpers:boom"))
-    path = tmp_path / "partial.jsonl"
-    with pytest.raises(RuntimeError, match="job failure propagates"):
+    jobs = [JobSpec(f"good{seed}", micro_world(seed)) for seed in (1, 2)]
+    jobs.append(JobSpec("boom", broken_world()))
+    path = tmp_path / "partial.d"
+    with pytest.raises(ValueError, match="crowd_mode must be"):
         run_campaign(CampaignSpec(name="partial", jobs=jobs), jobs=2, store=path)
     # the two healthy jobs finished and were committed before the
     # failure propagated: a resume would re-run only the broken one
@@ -549,12 +558,10 @@ def test_pool_failure_still_commits_finished_jobs(tmp_path):
 
 
 def test_job_errors_propagate():
-    spec = CampaignSpec(
-        name="boom", jobs=[JobSpec(job_id="boom", func="campaign_helpers:boom")]
-    )
-    with pytest.raises(RuntimeError, match="job failure propagates"):
+    spec = CampaignSpec(name="boom", jobs=[JobSpec("boom", broken_world())])
+    with pytest.raises(ValueError, match="crowd_mode must be"):
         run_campaign(spec)
-    with pytest.raises(RuntimeError, match="job failure propagates"):
+    with pytest.raises(ValueError, match="crowd_mode must be"):
         run_campaign(
             CampaignSpec(name="boom2", jobs=spec.jobs * 2), jobs=2
         )

@@ -8,6 +8,7 @@ hanging again.  Without an opted-in policy the historical contract
 holds exactly: failures raise, nothing is swallowed.
 """
 
+import dataclasses
 import json
 import warnings
 
@@ -22,16 +23,48 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.codec import DeadLetter, decode_result, encode_result
-from repro.campaign.executor import RetryPolicy
+from repro.campaign.executor import RetryPolicy, execute_job
 from repro.campaign.store import shard_index
+from repro.core.config import MFCConfig
+from repro.server.presets import qtnp_server
+from repro.workload.fleet import FleetSpec, lan_fleet
+from repro.worlds import SyntheticSpec, WorldSpec
 
 
-def job(job_id, func="campaign_helpers:double", **kwargs):
-    return JobSpec(job_id=job_id, func=func, kwargs=kwargs)
+def job(job_id, seed=0):
+    """A healthy millisecond world: one client, a one-request crowd."""
+    world = WorldSpec(
+        synthetic=SyntheticSpec(
+            model="linear", params={"seconds_per_request": 0.001}
+        ),
+        fleet=lan_fleet(1),
+        config=MFCConfig(
+            threshold_s=0.1, max_crowd=1, initial_crowd=1, crowd_step=1,
+            min_clients=1,
+        ),
+        seed=seed,
+    )
+    return JobSpec(job_id, world)
+
+
+def broken_job(job_id="boom"):
+    """A world that raises at build(), in any process."""
+    healthy = job(job_id).world
+    return JobSpec(job_id, dataclasses.replace(healthy, crowd_mode="bogus"))
 
 
 def hung_job(job_id="hung"):
-    return job(job_id, func="campaign_helpers:hang", seconds=60.0)
+    """A 400-client exact-mode sweep that never stops early: ~16 s of
+    wall time, far past the sub-second budgets below — the watchdog
+    must cut it short."""
+    return JobSpec(
+        job_id,
+        WorldSpec(
+            scenario=qtnp_server(),
+            fleet=FleetSpec(n_clients=400),
+            config=MFCConfig(max_crowd=400, crowd_step=5, threshold_s=1e6),
+        ),
+    )
 
 
 def record(key, value=0):
@@ -78,12 +111,12 @@ def test_dead_letter_round_trips_through_the_codec():
 
 def test_hung_job_dead_letters_and_the_campaign_completes(tmp_path):
     spec = CampaignSpec(
-        name="hang", jobs=[job("ok", x=1), hung_job(), job("ok2", x=2)]
+        name="hang", jobs=[job("ok", seed=1), hung_job(), job("ok2", seed=2)]
     )
     cache = tmp_path / "hang.cache"
     outcomes = run_campaign(spec, store=cache, job_timeout_s=0.5)
     assert [o.result for o in outcomes[::2]] == [
-        {"doubled": 2}, {"doubled": 4}
+        decode_result(execute_job(j)) for j in spec.jobs[::2]
     ]
     letter = outcomes[1].result
     assert outcomes[1].dead
@@ -101,7 +134,7 @@ def test_hung_job_dead_letters_and_the_campaign_completes(tmp_path):
 def test_hung_job_dead_letters_under_the_pool(tmp_path):
     spec = CampaignSpec(
         name="hangpool",
-        jobs=[hung_job()] + [job(f"ok{x}", x=x) for x in range(3)],
+        jobs=[hung_job()] + [job(f"ok{x}", seed=x) for x in range(3)],
     )
     for batch in (1, 2):
         outcomes = run_campaign(
@@ -118,26 +151,29 @@ def test_hung_job_dead_letters_under_the_pool(tmp_path):
 # -- raising jobs -----------------------------------------------------------------
 
 
-def test_flaky_job_recovers_within_its_retry_budget(tmp_path):
-    marker = tmp_path / "attempts"
-    spec = CampaignSpec(
-        name="flaky",
-        jobs=[
-            job(
-                "flaky",
-                func="campaign_helpers:flaky",
-                marker_path=str(marker),
-                fail_times=2,
-            )
-        ],
-    )
+def test_flaky_job_recovers_within_its_retry_budget(monkeypatch):
+    from repro.campaign import executor
+
+    real_execute = executor.execute_job
+    attempts = []
+
+    def flaky(job, detail=SUMMARY):
+        attempts.append(job.job_id)
+        if len(attempts) <= 2:
+            raise RuntimeError(f"flaky failure {len(attempts)}/2")
+        return real_execute(job, detail)
+
+    # the sequential path runs in this process, through the module global
+    monkeypatch.setattr(executor, "execute_job", flaky)
+    spec = CampaignSpec(name="flaky", jobs=[job("flaky")])
     outcomes = run_campaign(spec, retries=2, retry_backoff_s=0.0)
-    assert outcomes[0].result == {"attempts": 3}
+    assert attempts == ["flaky"] * 3
     assert not outcomes[0].dead
+    assert outcomes[0].result == decode_result(real_execute(spec.jobs[0]))
 
 
 def test_exhausted_retries_dead_letter_with_the_error(tmp_path):
-    spec = CampaignSpec(name="boom", jobs=[job("boom", func="campaign_helpers:boom")])
+    spec = CampaignSpec(name="boom", jobs=[broken_job()])
     outcomes = run_campaign(
         spec, store=tmp_path / "boom.cache", retries=1, retry_backoff_s=0.0
     )
@@ -145,12 +181,12 @@ def test_exhausted_retries_dead_letter_with_the_error(tmp_path):
     assert isinstance(letter, DeadLetter)
     assert letter.reason == "error"
     assert letter.attempts == 2
-    assert "job failure propagates" in letter.error
+    assert "crowd_mode must be" in letter.error
 
 
 def test_without_a_policy_failures_still_raise():
-    spec = CampaignSpec(name="boom", jobs=[job("boom", func="campaign_helpers:boom")])
-    with pytest.raises(RuntimeError, match="job failure propagates"):
+    spec = CampaignSpec(name="boom", jobs=[broken_job()])
+    with pytest.raises(ValueError, match="crowd_mode must be"):
         list(iter_campaign(spec))
 
 

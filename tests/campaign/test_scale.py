@@ -8,7 +8,7 @@ semantics), streaming consumption via ``iter_campaign``, and the
 throttled progress/ETA reporting.
 """
 
-import json
+import dataclasses
 import warnings
 
 import pytest
@@ -74,7 +74,7 @@ def test_shard_index_is_stable_and_in_range():
 
 def test_sharded_store_roundtrip_and_layout(tmp_path):
     store = ResultStore(tmp_path / "cache.d")
-    assert store.sharded
+    assert store.shard_paths() == []  # the directory appears on first append
     keys = [f"{b:02x}key" for b in range(40)]
     store.append_batch([record(k, value=i) for i, k in enumerate(keys)])
     files = store.shard_paths()
@@ -104,40 +104,25 @@ def test_append_batch_groups_by_shard(tmp_path):
     assert len(path.read_text().splitlines()) == 3
 
 
-def test_legacy_jsonl_path_stays_single_file(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    store = ResultStore(path)
-    assert not store.sharded
-    store.append(record("aa"))
-    store.append(record("bb"))
-    assert path.is_file()
-    reloaded = ResultStore(path)
-    assert len(reloaded) == 2
-    # an existing regular file is treated as legacy even without .jsonl
-    odd = tmp_path / "cache.dat"
-    odd.write_text(json.dumps(record("cc")) + "\n")
-    assert not ResultStore(odd).sharded
-    assert "cc" in ResultStore(odd)
-
-
 def test_torn_tail_is_silent_but_mid_file_corruption_warns(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    store = ResultStore(path)
-    store.append(record("aa"))
-    store.append(record("bb"))
+    cache = tmp_path / "cache.d"
+    store = ResultStore(cache)
+    store.append(record("aa01"))
+    store.append(record("aa02"))
+    path = store.shard_path(shard_index("aa01"))  # both keys route here
     # torn trailing line: the kill-mid-append signature, no warning
     with path.open("a") as fh:
-        fh.write('{"key": "cc", "resu')
+        fh.write('{"key": "aa03", "resu')
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        reloaded = ResultStore(path)
+        reloaded = ResultStore(cache)
         assert len(reloaded) == 2
     # corruption *before* intact lines is real damage and must warn
     lines = path.read_text().splitlines()
     lines[0] = '{"broken'
     path.write_text("\n".join(lines) + "\n")
     with pytest.warns(RuntimeWarning, match="1 corrupt mid-file line"):
-        damaged = ResultStore(path)
+        damaged = ResultStore(cache)
         assert len(damaged) == 1  # the intact record survives
 
 
@@ -147,29 +132,25 @@ def test_compact_drops_superseded_and_reports_bytes(tmp_path):
     store.append(record("aa", detail=FULL, value=2))
     store.append(record("aa", detail=SUMMARY, value=3))  # never downgrades
     store.append(record("ab", value=4))
+    # a whitespace-only line is blank, not a line of data or damage
+    with store.shard_path(shard_index("aa")).open("a") as fh:
+        fh.write("   \n")
+    store.append(record("ab", value=5))  # a re-run: the latest wins
+    with store.shard_path(shard_index("aa")).open("a") as fh:
+        fh.write('{"torn')  # a kill mid-append
+    report = ResultStore(tmp_path / "cache.d").fsck()
+    assert report["totals"]["lines"] == 6
+    assert not report["damaged"] and report["totals"]["torn_tails"] == 1
     stats = store.compact()
-    assert stats["lines_before"] == 4
+    assert stats["lines_before"] == report["totals"]["lines"]
     assert stats["records_after"] == 2
     assert stats["bytes_reclaimed"] > 0
     assert stats["bytes_after"] == stats["bytes_before"] - stats["bytes_reclaimed"]
     reloaded = ResultStore(tmp_path / "cache.d")
     assert reloaded.get("aa", FULL)["result"]["value"] == 2
-    assert reloaded.get("ab", SUMMARY)["result"]["value"] == 4
+    assert reloaded.get("ab", SUMMARY)["result"]["value"] == 5
     # compacting a compacted store reclaims nothing further
     assert ResultStore(tmp_path / "cache.d").compact()["bytes_reclaimed"] == 0
-
-
-def test_compact_works_on_legacy_single_file(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    store = ResultStore(path)
-    for value in range(5):
-        store.append(record("aa", value=value))  # 5 runs of one key
-    with path.open("a") as fh:
-        fh.write('{"torn')
-    stats = ResultStore(path).compact()
-    assert stats["files"] == 1
-    assert stats["records_after"] == 1
-    assert ResultStore(path).get("aa", SUMMARY)["result"]["value"] == 4
 
 
 # -- batched dispatch -------------------------------------------------------------
@@ -227,14 +208,10 @@ def test_batched_parity_mixed_cache_and_resume_after_kill(tmp_path):
 
 
 def test_batch_failure_commits_finished_prefix(tmp_path):
-    jobs = [
-        JobSpec(job_id="good1", func="campaign_helpers:double", kwargs={"x": 1}),
-        JobSpec(job_id="good2", func="campaign_helpers:double", kwargs={"x": 2}),
-        JobSpec(job_id="boom", func="campaign_helpers:boom"),
-        JobSpec(job_id="never", func="campaign_helpers:double", kwargs={"x": 3}),
-    ]
+    broken = dataclasses.replace(micro_job(2).world, crowd_mode="bogus")
+    jobs = [micro_job(0), micro_job(1), JobSpec("boom", broken), micro_job(3)]
     cache = tmp_path / "cache.d"
-    with pytest.raises(RuntimeError, match="job failure propagates"):
+    with pytest.raises(ValueError, match="crowd_mode must be"):
         run_campaign(
             CampaignSpec(name="partial", jobs=jobs), jobs=2, batch=4, store=cache
         )

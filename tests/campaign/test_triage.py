@@ -296,13 +296,13 @@ def world_for_cost(planner=None, stages=("Base", "SmallQuery", "LargeObject")):
 
 
 def test_job_cost_folds_planner_and_stage_count():
-    linear = estimate_job_cost(JobSpec.from_world("a", world_for_cost()))
+    linear = estimate_job_cost(JobSpec("a", world_for_cost()))
     bisect = estimate_job_cost(
-        JobSpec.from_world("b", world_for_cost(PlannerSpec(name="bisect")))
+        JobSpec("b", world_for_cost(PlannerSpec(name="bisect")))
     )
     assert bisect == pytest.approx(linear * PLANNER_COST_FACTOR["bisect"])
     one_stage = estimate_job_cost(
-        JobSpec.from_world("c", world_for_cost(stages=("Base",)))
+        JobSpec("c", world_for_cost(stages=("Base",)))
     )
     assert one_stage == pytest.approx(linear / DEFAULT_STAGE_COUNT)
 
@@ -316,13 +316,13 @@ def test_job_cost_folds_crowd_mode_and_hardening():
     )
 
     base = world_for_cost()
-    exact = estimate_job_cost(JobSpec.from_world("a", base))
+    exact = estimate_job_cost(JobSpec("a", base))
     cohort = estimate_job_cost(
-        JobSpec.from_world("b", replace(base, crowd_mode="cohort"))
+        JobSpec("b", replace(base, crowd_mode="cohort"))
     )
     assert cohort == pytest.approx(exact * COHORT_COST_FACTOR)
     hardened = estimate_job_cost(
-        JobSpec.from_world(
+        JobSpec(
             "c",
             replace(base, config=replace(base.config, hardening=True)),
         )
@@ -333,7 +333,7 @@ def test_job_cost_folds_crowd_mode_and_hardening():
 def test_indicator_jobs_cost_a_flat_handful():
     world = indicator_world(world_for_cost())
     assert estimate_job_cost(
-        JobSpec.from_world("i", world)
+        JobSpec("i", world)
     ) == INDICATOR_JOB_COST
 
 

@@ -86,7 +86,7 @@ def test_run_jobs_matches_sequential_single_stage(capsys, tmp_path):
             "--stage", "base", "--quiet", "--seed", "1"]
     assert main(args) == 0
     sequential = capsys.readouterr().out
-    cache = str(tmp_path / "run.jsonl")
+    cache = str(tmp_path / "run.d")
     assert main(args + ["--jobs", "2", "--cache", cache]) == 0
     assert capsys.readouterr().out == sequential
     # cached re-run prints the same outcome without recomputing
@@ -97,13 +97,13 @@ def test_run_jobs_matches_sequential_single_stage(capsys, tmp_path):
 def test_run_cache_without_jobs_is_rejected(capsys, tmp_path):
     # --cache has no meaning on the shared-single-world path; demanding
     # --jobs avoids silently switching to per-stage worlds
-    code = main(["run", "qtnp", "--cache", str(tmp_path / "c.jsonl")])
+    code = main(["run", "qtnp", "--cache", str(tmp_path / "c.d")])
     assert code == 2
     assert "--cache requires --jobs" in capsys.readouterr().err
 
 
 def test_campaign_runs_and_resumes(capsys, tmp_path):
-    cache = str(tmp_path / "phishing.jsonl")
+    cache = str(tmp_path / "phishing.d")
     args = ["campaign", "phishing", "--scale", "0.02", "--max-crowd", "20",
             "--clients", "55", "--seed", "3", "--quiet", "--cache", cache]
     assert main(args + ["--jobs", "2"]) == 0
@@ -207,7 +207,7 @@ def test_campaign_dry_run_reports_stable_expansion(capsys):
 
 
 def test_campaign_batched_sharded_cache_and_compact(capsys, tmp_path):
-    cache = str(tmp_path / "cache.d")  # no .jsonl suffix -> sharded
+    cache = str(tmp_path / "cache.d")
     args = ["campaign", "startups", "--scale", "0.03", "--max-crowd", "20",
             "--clients", "55", "--seed", "3", "--quiet", "--cache", cache,
             "--jobs", "2", "--batch", "2"]
@@ -326,7 +326,7 @@ def test_run_jobs_with_named_stages(capsys, tmp_path):
             "--clients", "55", "--quiet", "--seed", "1"]
     assert main(args) == 0
     sequential = capsys.readouterr().out
-    cache = str(tmp_path / "stages.jsonl")
+    cache = str(tmp_path / "stages.d")
     assert main(args + ["--jobs", "2", "--cache", cache]) == 0
     assert capsys.readouterr().out == sequential
 
@@ -520,3 +520,13 @@ def test_campaign_fsck_reports_and_gates(capsys, tmp_path):
 def test_campaign_fsck_missing_store_fails(capsys, tmp_path):
     assert main(["campaign", "--fsck", str(tmp_path / "absent")]) == 1
     assert "no store" in capsys.readouterr().err
+
+
+def test_campaign_rejects_a_regular_file_as_store(capsys, tmp_path):
+    legacy = tmp_path / "old.jsonl"
+    legacy.write_text("{}\n")
+    for flags in (["--fsck", str(legacy)], ["--compact", str(legacy)],
+                  ["startups", "--dry-run", "--cache", str(legacy)]):
+        assert main(["campaign"] + flags) == 2
+        assert "single-file JSONL layout was removed" in capsys.readouterr().err
+    assert legacy.read_text() == "{}\n"  # never touched

@@ -6,7 +6,6 @@ import hashlib
 
 import pytest
 
-from repro.campaign import JobSpec
 from repro.workload.populations import (
     HostingClassSpec,
     ObjectMixSpec,
@@ -15,6 +14,7 @@ from repro.workload.populations import (
     quantcast_strata,
     survey_counts,
 )
+from repro.worlds import WorldSpec
 
 
 def test_survey_counts_are_rank_proportional():
@@ -46,10 +46,10 @@ def test_replication_scales_keep_paper_roster_and_determinism():
     sites = generate_population(quantcast_strata(0.02), seed=0)
     digest = hashlib.sha256()
     for site in sites:
-        job = JobSpec(job_id=site.site_id, scenario=site.scenario)
-        digest.update(job.key.encode("ascii"))
+        # the world hash, not a job key: job keys also hash the release
+        digest.update(WorldSpec(scenario=site.scenario).spec_hash.encode("ascii"))
     assert digest.hexdigest() == (
-        "37b2f6a8929a2afc5d942edf18a1a823527c1068e39a37cfd387f2945c44d65b"
+        "558050eb1e05bf0ff594cfa18e9c27d922359be680647ecadf3b66a3e54cfa9d"
     )
 
 
