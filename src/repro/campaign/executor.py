@@ -68,7 +68,7 @@ INDICATOR_JOB_COST = 15.0
 #: stage count assumed when a job does not restrict stages (the
 #: default three-stage probe), so single-stage jobs cost a third
 DEFAULT_STAGE_COUNT = 3
-#: fault plans and hardening add live-target defenses (unresponsive
+#: the hardened coordinator adds live-target defenses (unresponsive
 #: sweeps, check-phase re-runs, injector bookkeeping) on top of the
 #: clean ramp — the chaos grid runs ~1.3x the clean wall time
 HARDENED_COST_FACTOR = 1.3
@@ -235,7 +235,7 @@ def estimate_job_cost(job: JobSpec) -> float:
     ramp issues: roughly ``fleet size × crowd cap``, scaled by how many
     stages run and by the epoch planner (an adaptive ramp reaches the
     knee in ~3x fewer epochs than the linear one, so those worlds pack
-    denser batches).  Fault plans / hardening add defensive overhead
+    denser batches).  Hardened worlds add defensive overhead
     (``HARDENED_COST_FACTOR``); cohort crowd mode replaces per-member
     fan-out with O(cohorts) macro-flows (``COHORT_COST_FACTOR``).
     Indicator worlds cost a flat handful of requests.
@@ -249,11 +249,11 @@ def estimate_job_cost(job: JobSpec) -> float:
     stages = world.stages if world.stages is not None else world.stage_kinds
     stage_factor = len(stages) / DEFAULT_STAGE_COUNT if stages else 1.0
     planner_name = world.planner.name if world.planner is not None else "linear"
-    hardened = world.faults is not None or bool(world.config.hardening)
-    crowd_mode = world.crowd_mode or world.config.crowd_mode
     planner_factor = PLANNER_COST_FACTOR.get(planner_name, 1.0)
-    mode_factor = COHORT_COST_FACTOR if crowd_mode == "cohort" else 1.0
-    fault_factor = HARDENED_COST_FACTOR if hardened else 1.0
+    mode_factor = (
+        COHORT_COST_FACTOR if world.effective_crowd_mode == "cohort" else 1.0
+    )
+    fault_factor = HARDENED_COST_FACTOR if world.hardened else 1.0
     return float(
         max(
             world.fleet.n_clients

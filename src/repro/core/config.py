@@ -72,28 +72,15 @@ class MFCConfig:
     #: from the canonical encoding so existing hashes stay stable.
     crowd_mode: str = "exact"
 
-    # -- hardening knobs (the coordinator's live-target defenses) ----------
-    # All of these are default-omitted from the canonical encoding
-    # (see ``worlds.codec.DEFAULT_OMITTED_FIELDS``), so configs written
-    # before they existed keep their hashes.
-
     #: run the hardened coordinator: re-liveness checks with client
-    #: quarantine, invalid-epoch retry, and the safety-abort guard.
+    #: quarantine, invalid-epoch retry, and the safety-abort guard (its
+    #: limits are constants in :mod:`repro.core.coordinator`).
     #: None = automatic — hardened exactly when the world carries a
-    #: fault plan, so fault-free runs stay byte-identical to the seed
+    #: fault plan, so fault-free runs stay byte-identical to the seed.
+    #: Default-omitted from the canonical encoding (see
+    #: ``worlds.codec.DEFAULT_OMITTED_FIELDS``), so configs written
+    #: before it existed keep their hashes.
     hardening: Optional[bool] = None
-    #: hardened: re-probe client liveness every N accepted epochs
-    reliveness_every_epochs: int = 1
-    #: hardened: an epoch missing more than this fraction of its
-    #: scheduled reports is invalid — retried, never fed to the planner
-    max_epoch_attrition: float = 0.5
-    #: hardened: retries per invalid epoch before aborting the stage
-    epoch_retry_limit: int = 2
-    #: hardened: consecutive failed unloaded health probes before the
-    #: safety-abort guard backs off (the paper's non-intrusiveness rule)
-    safety_abort_checks: int = 2
-    #: hardened: simulated-time budget per stage (None = unlimited)
-    stage_timeout_s: Optional[float] = None
 
     def validate(self) -> None:
         """Sanity-check the knob values."""
@@ -117,16 +104,6 @@ class MFCConfig:
             )
         if self.request_timeout_s <= 0 or self.epoch_gap_s < 0:
             raise ValueError("timing knobs must be positive")
-        if self.reliveness_every_epochs < 1:
-            raise ValueError("reliveness_every_epochs must be >= 1")
-        if not 0 < self.max_epoch_attrition <= 1:
-            raise ValueError("max_epoch_attrition must be in (0, 1]")
-        if self.epoch_retry_limit < 0:
-            raise ValueError("epoch_retry_limit cannot be negative")
-        if self.safety_abort_checks < 1:
-            raise ValueError("safety_abort_checks must be >= 1")
-        if self.stage_timeout_s is not None and self.stage_timeout_s <= 0:
-            raise ValueError("stage_timeout_s must be positive")
 
     def with_(self, **overrides) -> "MFCConfig":
         """Functional update (validated)."""

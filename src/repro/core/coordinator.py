@@ -55,6 +55,14 @@ CENSORED_AGGREGATE_FRACTION = 0.5
 #: hardened mode: an epoch where at least this fraction of reports beat
 #: their own unloaded base by more than θ is built on poisoned bases
 STALE_BASE_FRACTION = 0.10
+#: hardened mode: an epoch missing more than this fraction of its
+#: scheduled reports is invalid — retried, never fed to the planner
+MAX_EPOCH_ATTRITION = 0.5
+#: hardened mode: retries per invalid epoch before aborting the stage
+EPOCH_RETRY_LIMIT = 2
+#: hardened mode: consecutive failed unloaded health probes before the
+#: safety abort backs off (the paper's non-intrusiveness rule)
+SAFETY_ABORT_CHECKS = 2
 
 
 class Coordinator:
@@ -186,57 +194,41 @@ class Coordinator:
     ) -> Generator:
         """Delay computation plus the epoch loop, appending onto
         *stage_result* as results land (so an abort at any point keeps
-        everything already observed)."""
+        everything already observed).
+
+        Unhardened, the pool is always the whole live fleet, so the
+        feasible-crowd clamp, the attrition abort and the truncated-cap
+        annotation change nothing.  Hardened mode adds re-liveness,
+        poisoned-base quarantine, post-epoch vetting and the sample
+        filter in :meth:`_finish_epoch`.
+        """
         if self.hardened:
             # a client that died since registration must not hold up
             # the sequential measurement phase
             yield from self._reliveness(live, stage_result)
-        skip = frozenset(self._quarantined)
-        estimates = yield from self._delay_computation(stage, live, skip=skip)
-        # base measurements: one command per client, each issuing the
-        # stage's full connection count against the server
-        stage_result.total_requests += len(estimates) * stage.connections
-        if self.hardened:
-            self._quarantine_poisoned_bases(stage, live, estimates, stage_result)
-
+        estimates = yield from self._measure_bases(stage, live, stage_result)
         planner = self.planner.make(
             self.config,
             max_feasible_crowd=len(live) * self.config.requests_per_client,
         )
-        epochs_accepted = 0
         sick_streak = 0
         while True:
-            if (
-                self.hardened
-                and self.config.stage_timeout_s is not None
-                and self.sim.now - stage_result.started_at
-                > self.config.stage_timeout_s
-            ):
-                stage_result.reason = (
-                    f"stage timeout: exceeded the "
-                    f"{self.config.stage_timeout_s:.0f}s budget"
-                )
-                return
-            if self.hardened:
-                # the feasible crowd tracks the *pool*, not the
-                # registration-time fleet: a quarantine-shrunken pool
-                # would otherwise run epochs clamped below the
-                # requested crowd, and the planner — advancing from
-                # the clamped size — would re-request the same crowd
-                # forever
-                planner.max_feasible_crowd = min(
-                    self.config.max_crowd,
-                    len(self._pool(live, estimates))
-                    * self.config.requests_per_client,
-                )
+            pool = self._pool(live, estimates)
+            # the feasible crowd tracks the *pool*, not the
+            # registration-time fleet: a quarantine-shrunken pool would
+            # otherwise run epochs clamped below the requested crowd,
+            # and the planner — advancing from the clamped size — would
+            # re-request the same crowd forever
+            planner.max_feasible_crowd = min(
+                self.config.max_crowd, len(pool) * self.config.requests_per_client
+            )
             nxt = planner.next_epoch()
             if nxt is None:
                 break
             crowd, label = nxt
             attempts = 0
             while True:
-                pool = self._pool(live, estimates)
-                if self.hardened and len(pool) < self.config.min_clients:
+                if len(pool) < self.config.min_clients:
                     stage_result.reason = (
                         f"attrition: only {len(pool)} active clients "
                         f"(need {self.config.min_clients})"
@@ -264,11 +256,9 @@ class Coordinator:
                     healthy = yield from self._health_probe(
                         stage, live, pool, stage_result, epoch
                     )
-                    if healthy:
-                        sick_streak = 0
-                    else:
+                    if not healthy:
                         sick_streak += 1
-                        if sick_streak >= self.config.safety_abort_checks:
+                        if sick_streak >= SAFETY_ABORT_CHECKS:
                             stage_result.reason = (
                                 "safety abort: baseline health degraded "
                                 f"under no load ({sick_streak} consecutive "
@@ -282,8 +272,7 @@ class Coordinator:
                             "is not crowd-caused"
                         )
                 if problem is None:
-                    if not epoch.degraded:
-                        sick_streak = 0
+                    sick_streak = 0
                     if (
                         epoch.crowd_size
                         >= self.config.min_significant_crowd
@@ -308,13 +297,17 @@ class Coordinator:
                                 -epoch.aggregate_normalized_s
                                 / self.config.threshold_s,
                             )
+                    # re-check liveness after every accepted epoch
+                    # (planner.record takes no simulated time and draws
+                    # no randomness, so it may follow)
+                    yield from self._reliveness(live, stage_result)
                     break
                 # invalid: keep it for the audit trail, never feed the
                 # planner, re-check liveness and retry the crowd size
                 epoch.label = EpochLabel.INVALID
                 stage_result.invalid_epochs += 1
                 attempts += 1
-                if attempts > self.config.epoch_retry_limit:
+                if attempts > EPOCH_RETRY_LIMIT:
                     stage_result.reason = (
                         f"invalid epoch at crowd {crowd} after "
                         f"{attempts} attempts: {problem}"
@@ -330,45 +323,44 @@ class Coordinator:
                     # clean-looking number that masks the knee.  The
                     # only honest recovery is fresh bases for the whole
                     # pool before retrying the crowd.
-                    fresh = yield from self._delay_computation(
-                        stage, live, skip=frozenset(self._quarantined)
+                    estimates = yield from self._measure_bases(
+                        stage, live, stage_result
                     )
-                    stage_result.total_requests += (
-                        len(fresh) * stage.connections
-                    )
-                    estimates.clear()
-                    estimates.update(fresh)
-                    self._quarantine_poisoned_bases(
-                        stage, live, estimates, stage_result
-                    )
+                pool = self._pool(live, estimates)
             planner.record(epoch)
-            epochs_accepted += 1
-            if self.hardened:
-                if epochs_accepted % self.config.reliveness_every_epochs == 0:
-                    yield from self._reliveness(live, stage_result)
 
         stage_result.outcome = planner.outcome or StageOutcome.NO_STOP
         stage_result.stopping_crowd_size = planner.stopping_crowd_size
         stage_result.earliest_degraded_crowd = planner.earliest_degraded_crowd
         stage_result.reason = planner.reason
-        if (
-            self.hardened
-            and stage_result.outcome is StageOutcome.NO_STOP
-            and planner.max_feasible_crowd
-            < min(
-                self.config.max_crowd,
-                len(live) * self.config.requests_per_client,
-            )
+        if stage_result.outcome is StageOutcome.NO_STOP and (
+            planner.max_feasible_crowd
+            < min(self.config.max_crowd, len(live) * self.config.requests_per_client)
         ):
             # the cap the planner actually hit was attrition-shrunken:
             # "no stop up to N" with N below what the fleet supported
             # must not pass as evidence of adequacy
             stage_result.truncated_crowd_cap = planner.max_feasible_crowd
 
+    def _measure_bases(
+        self, stage: StagePlan, live: List[MFCClient], stage_result: StageResult
+    ) -> Generator:
+        """Base measurements for every client not quarantined; hardened
+        mode then drops the clients whose base hit the kill timer."""
+        estimates = yield from self._delay_computation(
+            stage, live, frozenset(self._quarantined)
+        )
+        # one command per client, each issuing the stage's full
+        # connection count against the server
+        stage_result.total_requests += len(estimates) * stage.connections
+        if self.hardened:
+            self._quarantine_poisoned_bases(stage, live, estimates, stage_result)
+        return estimates
+
     # -- hardening helpers ------------------------------------------------------------
 
     def _reliveness(
-        self, live: List[MFCClient], stage_result: Optional[StageResult] = None
+        self, live: List[MFCClient], stage_result: StageResult
     ) -> Generator:
         """Re-probe the fleet mid-experiment; quarantine non-responders.
 
@@ -383,18 +375,15 @@ class Coordinator:
         yield self.config.liveness_timeout_s
         alive = set(answered)
         self._quarantined = {c.client_id for c in live} - alive
-        if stage_result is not None:
-            stage_result.quarantined_clients = max(
-                stage_result.quarantined_clients, len(self._quarantined)
-            )
+        stage_result.quarantined_clients = max(
+            stage_result.quarantined_clients, len(self._quarantined)
+        )
 
     def _pool(
         self, live: List[MFCClient], estimates: Dict[str, DelayEstimates]
     ) -> List[MFCClient]:
-        """Clients eligible for the next epoch (hardened: responsive
-        and holding trustworthy base measurements)."""
-        if not self.hardened:
-            return live
+        """Clients eligible for the next epoch: responsive and holding
+        trustworthy base measurements (unhardened: all of *live*)."""
         return [
             c
             for c in live
@@ -469,10 +458,10 @@ class Coordinator:
     def _epoch_problem(self, epoch: EpochResult) -> Optional[str]:
         """Why this epoch cannot be trusted (None: it can)."""
         attrition = self._epoch_attrition(epoch)
-        if attrition > self.config.max_epoch_attrition:
+        if attrition > MAX_EPOCH_ATTRITION:
             return (
                 f"lost {attrition:.0%} of scheduled reports "
-                f"(limit {self.config.max_epoch_attrition:.0%})"
+                f"(limit {MAX_EPOCH_ATTRITION:.0%})"
             )
         censor_floor = CENSORED_AGGREGATE_FRACTION * self.config.request_timeout_s
         if epoch.degraded and epoch.aggregate_normalized_s > censor_floor:
@@ -489,7 +478,7 @@ class Coordinator:
         live: List[MFCClient],
         pool: List[MFCClient],
         stage_result: StageResult,
-        epoch: Optional[EpochResult] = None,
+        epoch: EpochResult,
     ) -> Generator:
         """One unloaded request after a degraded epoch (paper's
         non-intrusiveness rule): if the target is slow even with no
@@ -510,7 +499,7 @@ class Coordinator:
             return False
         by_id = {c.client_id: c for c in pool}
         reports = sorted(
-            (r for r in (epoch.reports if epoch else []) if r.client_id in by_id),
+            (r for r in epoch.reports if r.client_id in by_id),
             key=lambda r: r.normalized_s,
             reverse=True,
         )
@@ -537,7 +526,7 @@ class Coordinator:
         return False
 
     def _delay_computation(
-        self, stage: StagePlan, live: List[MFCClient], skip: frozenset = frozenset()
+        self, stage: StagePlan, live: List[MFCClient], skip: frozenset
     ) -> Generator:
         """Measure T_coord / T_target / base response times (§2.2.4).
 
@@ -650,41 +639,61 @@ class Coordinator:
         pool: List[MFCClient],
         estimates: Dict[str, DelayEstimates],
     ) -> Generator:
-        if self.crowd_mode == "cohort":
-            epoch = yield from self._run_epoch_cohort(
-                stage, crowd, label, live, pool, estimates
-            )
-            return epoch
+        """One epoch: draw participants, plan the synchronized dispatch,
+        fire the commands, wait out the drain window, collect reports.
+
+        Cohort mode differs only in the fan-out — one weighted command
+        per cohort representative — and in the collection: every
+        member's report is synthesized from the occupancy ledger after
+        the drain instead of read from the mailbox.
+        """
         self._epoch_seq += 1
         epoch_key = (stage.name, self._epoch_seq)
         m = self.config.requests_per_client
         n_clients = min(math.ceil(crowd / m), len(pool))
         participants = self._select_participants(pool, n_clients)
         scheduled_requests = n_clients * m
+        cohorts: List[Cohort] = []
+        senders = participants
+        if self.crowd_mode == "cohort":
+            cohorts = group_cohorts(participants, live, stage)
+            senders = [c.rep for c in cohorts]
 
-        part_estimates = [estimates[c.client_id] for c in participants]
+        sender_estimates = [estimates[c.client_id] for c in senders]
         now = self.sim.now
         if self.use_naive_scheduling:
-            plans = naive_plan(now, part_estimates)
+            plans = naive_plan(now, sender_estimates)
             target_time = now
         else:
             target_time = (
-                self.scheduler.earliest_feasible_T(now, part_estimates)
+                self.scheduler.earliest_feasible_T(now, sender_estimates)
                 + self.config.schedule_lead_s
             )
-            plans = self.scheduler.plan(now, target_time, part_estimates)
+            plans = self.scheduler.plan(now, target_time, sender_estimates)
 
-        by_id = {c.client_id: c for c in participants}
+        by_id = {c.client_id: c for c in senders}
+        by_rep = {c.rep.client_id: c for c in cohorts}
+        index_of = {c.client_id: i for i, c in enumerate(live)}
+        arrivals: Dict[Tuple, float] = {}
         for plan in plans:
             client = by_id[plan.client_id]
-            index = live.index(client)
+            weight, meter = 1, None
+            cohort = by_rep.get(plan.client_id)
+            if cohort is not None:
+                arrivals[cohort.key] = plan.intended_arrival
+                weight = cohort.weight
+                cohort.meter = meter = CohortMeter(
+                    cohort.weight, pipe=self._cohort_pipe(cohort)
+                )
             command = RequestCommand(
                 epoch_key=epoch_key,
-                path=stage.object_for(index),
+                path=stage.object_for(index_of[client.client_id]),
                 method=stage.method,
                 n_parallel=m,
                 body_bytes=stage.body_bytes,
                 connections=stage.connections,
+                weight=weight,
+                meter=meter,
             )
             self.sim.call_at(
                 plan.dispatch_time,
@@ -701,7 +710,27 @@ class Coordinator:
         )
         yield max(drain_until - self.sim.now, 0.0)
 
+        # representatives never report over the control channel in
+        # cohort mode, so their mailbox slot is empty and dropped here
         reports = self._mailbox.pop(epoch_key, [])
+        if cohorts:
+            drain = epoch_drain_s(cohorts)
+            ramp = epoch_ramp_fraction(cohorts, drain)
+            for cohort in cohorts:
+                reports.extend(
+                    synthesize_cohort_reports(
+                        cohort,
+                        self.config,
+                        self._cohort_rng,
+                        self.control.loss_prob,
+                        cohort.rep.fault_gate,
+                        arrivals.get(cohort.key, target_time),
+                        drain,
+                        connections=stage.connections,
+                        ramp=ramp,
+                    )
+                )
+                cohort.meter = None
         return self._finish_epoch(
             stage, label, scheduled_requests, n_clients, target_time, reports
         )
@@ -765,97 +794,3 @@ class Coordinator:
         else:
             self.network.set_capacity(pipe, capacity)
         return pipe
-
-    def _run_epoch_cohort(
-        self,
-        stage: StagePlan,
-        crowd: int,
-        label: EpochLabel,
-        live: List[MFCClient],
-        pool: List[MFCClient],
-        estimates: Dict[str, DelayEstimates],
-    ) -> Generator:
-        """One epoch as O(cohorts) weighted macro-requests.
-
-        Participant selection, synchronization arithmetic and the drain
-        window mirror the exact path; only the fan-out differs — one
-        representative command per cohort, per-member reports
-        synthesized from the occupancy ledger after the drain.
-        """
-        self._epoch_seq += 1
-        epoch_key = (stage.name, self._epoch_seq)
-        m = self.config.requests_per_client
-        n_clients = min(math.ceil(crowd / m), len(pool))
-        participants = self._select_participants(pool, n_clients)
-        scheduled_requests = n_clients * m
-
-        cohorts = group_cohorts(participants, live, stage)
-        rep_estimates = [estimates[c.rep.client_id] for c in cohorts]
-        now = self.sim.now
-        if self.use_naive_scheduling:
-            plans = naive_plan(now, rep_estimates)
-            target_time = now
-        else:
-            target_time = (
-                self.scheduler.earliest_feasible_T(now, rep_estimates)
-                + self.config.schedule_lead_s
-            )
-            plans = self.scheduler.plan(now, target_time, rep_estimates)
-
-        by_rep = {c.rep.client_id: c for c in cohorts}
-        index_of = {c.client_id: i for i, c in enumerate(live)}
-        arrivals: Dict[Tuple, float] = {}
-        for plan in plans:
-            cohort = by_rep[plan.client_id]
-            arrivals[cohort.key] = plan.intended_arrival
-            cohort.meter = CohortMeter(
-                cohort.weight, pipe=self._cohort_pipe(cohort)
-            )
-            command = RequestCommand(
-                epoch_key=epoch_key,
-                path=stage.object_for(index_of[cohort.rep.client_id]),
-                method=stage.method,
-                n_parallel=m,
-                body_bytes=stage.body_bytes,
-                connections=stage.connections,
-                weight=cohort.weight,
-                meter=cohort.meter,
-            )
-            self.sim.call_at(
-                plan.dispatch_time,
-                lambda c=cohort.rep, cmd=command: self.control.send(
-                    c.node.latency_to_coord, c.execute_command, cmd
-                ),
-            )
-
-        drain_until = (
-            max(p.intended_arrival for p in plans)
-            + self.config.epoch_gap_s
-            + self.config.report_slack_s
-        )
-        yield max(drain_until - self.sim.now, 0.0)
-
-        # representatives never report over the control channel in
-        # cohort mode; everything is synthesized here
-        self._mailbox.pop(epoch_key, None)
-        drain = epoch_drain_s(cohorts)
-        ramp = epoch_ramp_fraction(cohorts, drain)
-        reports: List[ClientReport] = []
-        for cohort in cohorts:
-            reports.extend(
-                synthesize_cohort_reports(
-                    cohort,
-                    self.config,
-                    self._cohort_rng,
-                    self.control.loss_prob,
-                    cohort.rep.fault_gate,
-                    arrivals.get(cohort.key, target_time),
-                    drain,
-                    connections=stage.connections,
-                    ramp=ramp,
-                )
-            )
-            cohort.meter = None
-        return self._finish_epoch(
-            stage, label, scheduled_requests, n_clients, target_time, reports
-        )

@@ -65,16 +65,11 @@ DEFAULT_OMITTED_FIELDS: Dict[str, Dict[str, object]] = {
         # PR-10 cohort mode: exact-mode specs never mention it
         "crowd_mode": None,
     },
-    # the PR-9 hardening knobs: omitted at their defaults so every
-    # config-bearing job key and spec hash written before they existed
+    # the PR-9 hardening switch: omitted at its default so every
+    # config-bearing job key and spec hash written before it existed
     # stays byte-stable
     "MFCConfig": {
         "hardening": None,
-        "reliveness_every_epochs": 1,
-        "max_epoch_attrition": 0.5,
-        "epoch_retry_limit": 2,
-        "safety_abort_checks": 2,
-        "stage_timeout_s": None,
         # PR-10 cohort mode: the default (exact) crowd path is the
         # seed behaviour, so configs predating the knob keep hashes
         "crowd_mode": "exact",

@@ -127,6 +127,23 @@ class WorldSpec:
             # byte-identically reproduces
             self.planner = None
 
+    # -- derived settings -----------------------------------------------------
+
+    @property
+    def hardened(self) -> bool:
+        """Whether the coordinator runs hardened: as ``config.hardening``
+        says, else exactly when the world carries a fault plan."""
+        if self.config.hardening is not None:
+            return bool(self.config.hardening)
+        return self.faults is not None
+
+    @property
+    def effective_crowd_mode(self) -> str:
+        """The world's own crowd-mode override, else the config's."""
+        if self.crowd_mode is not None:
+            return self.crowd_mode
+        return self.config.crowd_mode
+
     # -- identity -------------------------------------------------------------
 
     @property
@@ -335,16 +352,7 @@ class WorldSpec:
             )
             for client in clients:
                 client.fault_gate = injector
-        hardened = (
-            self.config.hardening
-            if self.config.hardening is not None
-            else self.faults is not None
-        )
-        effective_crowd_mode = (
-            self.crowd_mode
-            if self.crowd_mode is not None
-            else self.config.crowd_mode
-        )
+        cohort = self.effective_crowd_mode == "cohort"
         coordinator = Coordinator(
             sim,
             clients,
@@ -354,14 +362,10 @@ class WorldSpec:
             rng=rngs.stream("coordinator"),
             use_naive_scheduling=self.use_naive_scheduling,
             planner=self.planner,
-            hardened=hardened,
-            crowd_mode=effective_crowd_mode,
-            network=topology.network if effective_crowd_mode == "cohort" else None,
-            cohort_rng=(
-                rngs.stream("cohort")
-                if effective_crowd_mode == "cohort"
-                else None
-            ),
+            hardened=self.hardened,
+            crowd_mode=self.effective_crowd_mode,
+            network=topology.network if cohort else None,
+            cohort_rng=rngs.stream("cohort") if cohort else None,
         )
         background = BackgroundTraffic(
             sim,
@@ -557,7 +561,7 @@ class WorldSpec:
             rng=rngs.stream("coordinator"),
             use_naive_scheduling=self.use_naive_scheduling,
             planner=self.planner,
-            hardened=bool(self.config.hardening),
+            hardened=self.hardened,
         )
         stage = StagePlan(
             name=StageKind.BASE.value,

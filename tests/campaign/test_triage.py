@@ -330,6 +330,27 @@ def test_job_cost_folds_crowd_mode_and_hardening():
     assert hardened == pytest.approx(exact * HARDENED_COST_FACTOR)
 
 
+def test_job_cost_follows_the_world_hardening_rule():
+    # a fault plan hardens the coordinator unless the config pins it
+    # off; the cost surcharge must follow the coordinator, not the plan
+    from dataclasses import replace
+
+    from repro.campaign.executor import HARDENED_COST_FACTOR
+    from repro.faults.spec import FAULT_PRESETS
+
+    base = world_for_cost()
+    clean = estimate_job_cost(JobSpec("a", base))
+    faulted = replace(base, faults=FAULT_PRESETS["dropout"]())
+    pinned = replace(faulted, config=replace(base.config, hardening=False))
+    assert estimate_job_cost(JobSpec("b", faulted)) == pytest.approx(
+        clean * HARDENED_COST_FACTOR
+    )
+    assert estimate_job_cost(JobSpec("c", pinned)) == clean
+    assert faulted.hardened and not pinned.hardened
+    assert faulted.build().coordinator.hardened
+    assert not pinned.build().coordinator.hardened
+
+
 def test_indicator_jobs_cost_a_flat_handful():
     world = indicator_world(world_for_cost())
     assert estimate_job_cost(
