@@ -1,10 +1,57 @@
 """Tests for the command-line interface."""
 
+import argparse
+import hashlib
 import json
 
 import pytest
 
 from repro.cli import SCENARIOS, build_parser, main
+
+
+def _surface_digests(parser, prog="repro", digests=None):
+    """Per (sub)command: a digest of every action's option strings,
+    dest, default, choices, type, nargs and action class."""
+    digests = {} if digests is None else digests
+    rows = []
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in choices.items():
+                _surface_digests(child, f"{prog} {name}", digests)
+        rows.append(json.dumps([
+            sorted(action.option_strings),
+            action.dest,
+            repr(action.default),
+            sorted(map(str, choices)) if choices is not None else None,
+            getattr(action.type, "__name__", repr(action.type)),
+            repr(action.nargs),
+            type(action).__name__,
+        ]))
+    blob = "\n".join(sorted(rows)).encode("utf-8")
+    digests[prog] = hashlib.sha256(blob).hexdigest()[:16]
+    return digests
+
+
+#: the command-line surface; a digest changes only when a flag, its
+#: default, its choices, its type, its arity or its action changes
+CLI_SURFACE = {
+    "repro": "6b87ba069421750e",
+    "repro campaign": "45ba94a7661e5872",
+    "repro chaos": "2588cfb29d9d4002",
+    "repro equiv": "a0297c963a7ce7a6",
+    "repro list": "a294938197b9a628",
+    "repro perf": "c3b6aa5e2468d820",
+    "repro run": "3ce55b75eb826b9e",
+    "repro spec": "8247f0239772cde5",
+    "repro spec dump": "251b840d1ae874e1",
+    "repro stages": "3dd45aa5b126fddd",
+    "repro triage": "e8db3509e1ede6f7",
+}
+
+
+def test_cli_surface_is_pinned():
+    assert _surface_digests(build_parser()) == CLI_SURFACE
 
 
 def test_list_prints_all_scenarios(capsys):
