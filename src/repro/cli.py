@@ -34,14 +34,16 @@ fails when any faulted verdict is silently wrong.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import os
 import sys
 from typing import List, Optional
 
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import CampaignSpec, JobSpec
-from repro.core.config import MFCConfig
+from repro.core.config import MFCConfig, default_min_clients
 from repro.core.epochs import PLANNERS, PlannerSpec
 from repro.core.inference import infer_constraints
 from repro.core.stages import STAGES, StageKind
@@ -71,11 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable inventory: scenarios, fleet "
                              "presets, probe stages, planners, synthetic "
                              "models")
+    list_p.set_defaults(func=cmd_list)
 
     sub.add_parser(
         "stages",
         help="list registered probe stages and epoch-planner strategies",
-    )
+    ).set_defaults(func=cmd_stages)
 
     run = sub.add_parser("run", help="run an MFC experiment against a scenario")
     run.add_argument("scenario", nargs="?", choices=sorted(SCENARIOS),
@@ -94,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "recomputed")
     run.add_argument("--quiet", action="store_true",
                      help="print only the one-line stage outcomes")
+    run.set_defaults(func=cmd_run)
 
     spec = sub.add_parser(
         "spec",
@@ -108,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_world_arguments(dump)
     dump.add_argument("--out", default=None, metavar="PATH",
                       help="write the document here (default: stdout)")
+    dump.set_defaults(func=cmd_spec_dump)
 
     campaign = sub.add_parser(
         "campaign",
@@ -124,13 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "the paper's site counts, > 1 switches "
                                "quantcast to survey mode (10000 x scale "
                                "rank-proportional sites)")
-    campaign.add_argument("--threshold-ms", type=float, default=100.0,
-                          help="θ degradation threshold (default 100)")
-    campaign.add_argument("--max-crowd", type=int, default=50,
-                          help="crowd-size cap in requests (default 50)")
-    campaign.add_argument("--clients", type=int, default=60,
-                          help="fleet size per site world (default 60)")
-    campaign.add_argument("--seed", type=int, default=0)
+    _add_probe_arguments(campaign, max_crowd=50, clients=60)
     campaign.add_argument("--jobs", type=int, default=None, metavar="N",
                           help="worker processes (default: sequential)")
     campaign.add_argument("--batch", type=int, default=None, metavar="B",
@@ -179,19 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "predicted to stop below MARGIN x max-crowd "
                                "stay on the classifier's watch list "
                                "(default 2.0)")
+    campaign.set_defaults(func=cmd_campaign)
 
     triage = sub.add_parser(
         "triage",
         help="triage one scenario: indicator sweep + classifier verdict",
     )
     triage.add_argument("scenario", choices=sorted(SCENARIOS))
-    triage.add_argument("--threshold-ms", type=float, default=100.0,
-                        help="θ degradation threshold (default 100)")
-    triage.add_argument("--max-crowd", type=int, default=55,
-                        help="crowd-size cap in requests (default 55)")
-    triage.add_argument("--clients", type=int, default=65,
-                        help="fleet size (default 65)")
-    triage.add_argument("--seed", type=int, default=0)
+    _add_probe_arguments(triage, max_crowd=55, clients=65)
     triage.add_argument("--margin", type=float, default=2.0,
                         help="ambiguity margin: stages predicted to stop "
                              "below margin x max-crowd stay on the watch "
@@ -207,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     triage.add_argument("--json", action="store_true",
                         help="machine-readable verdict (and record with "
                              "--active)")
+    triage.set_defaults(func=cmd_triage)
 
     chaos = sub.add_parser(
         "chaos",
@@ -214,34 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
              "baseline or be explicitly inconclusive, never silently "
              "wrong",
     )
-    chaos.add_argument("--quick", action="store_true",
-                       help="CI-smoke slice: 2 scenarios x 3 fault "
-                            "families instead of the full registry grid")
-    chaos.add_argument("--scenario", action="append", default=None,
-                       choices=sorted(SCENARIOS),
-                       help="restrict to a scenario (repeatable; "
-                            "default: --quick slice or every preset)")
+    _add_grid_arguments(
+        chaos,
+        quick_help="CI-smoke slice: 2 scenarios x 3 fault families "
+                   "instead of the full registry grid",
+        json_help="machine-readable report (rows, counts, "
+                  "silently-wrong cells)",
+    )
     chaos.add_argument("--fault", action="append", default=None,
                        choices=sorted(FAULT_PRESETS),
                        help="restrict to a fault preset (repeatable; "
                             "default: --quick slice or every preset)")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes (default: sequential)")
-    chaos.add_argument("--cache", default=None, metavar="PATH",
-                       help="result store: an interrupted grid resumes "
-                            "from it without recomputation")
     chaos.add_argument("--crowd-mode", default=None,
                        choices=("exact", "cohort"),
                        help="run every grid world in this crowd mode "
                             "(default: exact per-client simulation); "
                             "'cohort' asserts the hardening contract "
                             "under cohort aggregation")
-    chaos.add_argument("--json", action="store_true",
-                       help="machine-readable report (rows, counts, "
-                            "silently-wrong cells)")
-    chaos.add_argument("--quiet", action="store_true",
-                       help="suppress progress reporting")
+    chaos.set_defaults(func=cmd_chaos)
 
     equiv = sub.add_parser(
         "equiv",
@@ -249,24 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
              "crowd epochs must reach the same provisioning verdicts "
              "as exact per-client simulation",
     )
-    equiv.add_argument("--quick", action="store_true",
-                       help="CI-smoke slice: 3 structurally different "
-                            "scenarios instead of the full registry")
-    equiv.add_argument("--scenario", action="append", default=None,
-                       choices=sorted(SCENARIOS),
-                       help="restrict to a scenario (repeatable; "
-                            "default: --quick slice or every preset)")
-    equiv.add_argument("--seed", type=int, default=0)
-    equiv.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes (default: sequential)")
-    equiv.add_argument("--cache", default=None, metavar="PATH",
-                       help="result store: an interrupted grid resumes "
-                            "from it without recomputation")
-    equiv.add_argument("--json", action="store_true",
-                       help="machine-readable report (rows, counts, "
-                            "mismatches)")
-    equiv.add_argument("--quiet", action="store_true",
-                       help="suppress progress reporting")
+    _add_grid_arguments(
+        equiv,
+        quick_help="CI-smoke slice: 3 structurally different scenarios "
+                   "instead of the full registry",
+        json_help="machine-readable report (rows, counts, mismatches)",
+    )
+    equiv.set_defaults(func=cmd_equiv)
 
     perf = sub.add_parser(
         "perf",
@@ -307,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "<out>/PROFILE_<key>.txt")
     perf.add_argument("--profile-lines", type=int, default=25, metavar="N",
                       help="rows per profile table (default 25)")
+    perf.set_defaults(func=cmd_perf)
     return parser
 
 
@@ -333,14 +308,9 @@ def _add_world_arguments(parser) -> None:
     """Flags shared by ``run`` and ``spec dump`` — everything that
     shapes the world they describe."""
     d = _WORLD_FLAG_DEFAULTS
-    parser.add_argument("--threshold-ms", type=float, default=d["threshold_ms"],
-                        help="θ degradation threshold (default 100)")
-    parser.add_argument("--max-crowd", type=int, default=d["max_crowd"],
-                        help="crowd-size cap in requests (default 55)")
+    _add_probe_arguments(parser, max_crowd=d["max_crowd"], clients=d["clients"])
     parser.add_argument("--step", type=int, default=d["step"],
                         help="crowd increment per epoch (default 5)")
-    parser.add_argument("--clients", type=int, default=d["clients"],
-                        help="fleet size (default 65)")
     parser.add_argument("--min-clients", type=int, default=d["min_clients"],
                         help="abort below this many live clients "
                              "(default: the paper's 50, clamped to the fleet)")
@@ -363,7 +333,6 @@ def _add_world_arguments(parser) -> None:
                              "paper's linear ramp; see `repro stages`)")
     parser.add_argument("--background", type=float, default=d["background"],
                         help="override background traffic (requests/second)")
-    parser.add_argument("--seed", type=int, default=d["seed"])
     parser.add_argument("--faults", action="append", default=d["faults"],
                         choices=sorted(FAULT_PRESETS), metavar="NAME",
                         help="inject a named fault plan (repeatable: "
@@ -373,10 +342,68 @@ def _add_world_arguments(parser) -> None:
                              "wrongly")
 
 
-def _default_min_clients(clients: int) -> int:
-    """The paper's 50-client floor, clamped so small fleets (with
-    their PlanetLab-like flaky fraction) still run."""
-    return min(50, max(1, int(clients * 0.75)))
+def _add_probe_arguments(parser, max_crowd: int, clients: int) -> None:
+    """Flags every world-running command shares: threshold, crowd cap,
+    fleet size and seed (crowd and fleet defaults per command)."""
+    parser.add_argument("--threshold-ms", type=float, default=100.0,
+                        help="θ degradation threshold (default 100)")
+    parser.add_argument("--max-crowd", type=int, default=max_crowd,
+                        help=f"crowd-size cap in requests (default {max_crowd})")
+    parser.add_argument("--clients", type=int, default=clients,
+                        help=f"fleet size per world (default {clients})")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _probe_config(args) -> MFCConfig:
+    """The experiment config the shared probe flags describe."""
+    return MFCConfig(
+        threshold_s=args.threshold_ms / 1000.0,
+        max_crowd=args.max_crowd,
+        min_clients=default_min_clients(args.clients),
+    )
+
+
+def _add_grid_arguments(parser, quick_help: str, json_help: str) -> None:
+    """Flags shared by the ``chaos`` and ``equiv`` grids."""
+    parser.add_argument("--quick", action="store_true", help=quick_help)
+    parser.add_argument("--scenario", action="append", default=None,
+                        choices=sorted(SCENARIOS),
+                        help="restrict to a scenario (repeatable; "
+                             "default: --quick slice or every preset)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="worker processes (default: sequential)")
+    parser.add_argument("--cache", default=None, metavar="PATH",
+                        help="result store: an interrupted grid resumes "
+                             "from it without recomputation")
+    parser.add_argument("--json", action="store_true", help=json_help)
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress progress reporting")
+
+
+def _grid_kwargs(args) -> dict:
+    """The grid-runner keyword arguments the shared grid flags give."""
+    return dict(
+        scenarios=args.scenario,
+        seed=args.seed,
+        quick=args.quick,
+        jobs=args.jobs,
+        store=args.cache,
+        progress=not args.quiet and not args.json,
+    )
+
+
+def _finish_grid(args, report, format_report, broken: int, complaint: str) -> int:
+    """Print a grid report (text, or the ``--json`` document); exit 1
+    with *complaint* on stderr when any cell is *broken*."""
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(format_report(report))
+    if broken:
+        print(complaint, file=sys.stderr)
+        return 1
+    return 0
 
 
 def _build_config(args) -> MFCConfig:
@@ -388,7 +415,7 @@ def _build_config(args) -> MFCConfig:
         min_clients=(
             args.min_clients
             if args.min_clients is not None
-            else _default_min_clients(args.clients)
+            else default_min_clients(args.clients)
         ),
     )
     if args.mr > 1:
@@ -532,6 +559,23 @@ def _check_stage_flags(args, prog: str) -> Optional[int]:
     return None
 
 
+def _check_stores(args) -> Optional[int]:
+    """Shared guard: every result-store flag of the command names a
+    store directory; a regular file is rejected with the store's
+    message before anything runs."""
+    from repro.campaign.store import ResultStore
+
+    for flag in ("--fsck", "--compact", "--cache"):
+        path = getattr(args, flag[2:], None)
+        if path is not None:
+            try:
+                ResultStore(path)
+            except ValueError as exc:
+                print(f"repro {args.command} {flag}: {exc}", file=sys.stderr)
+                return 2
+    return None
+
+
 def cmd_run(args) -> int:
     if (args.scenario is None) == (args.spec is None):
         print("repro run: give exactly one of a scenario or --spec",
@@ -584,22 +628,20 @@ def cmd_run(args) -> int:
     return _report_result(world.build().run(), args.quiet)
 
 
-def cmd_spec(args) -> int:
-    if args.spec_command == "dump":
-        bad = _check_stage_flags(args, "repro spec dump")
-        if bad is not None:
-            return bad
-        world = _world_from_args(args, SCENARIOS[args.scenario]())
-        text = world.to_json()
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.out} (spec hash {world.spec_hash[:12]})",
-                  file=sys.stderr)
-        else:
-            print(text)
-        return 0
-    raise AssertionError(f"unknown spec subcommand {args.spec_command!r}")
+def cmd_spec_dump(args) -> int:
+    bad = _check_stage_flags(args, "repro spec dump")
+    if bad is not None:
+        return bad
+    world = _world_from_args(args, SCENARIOS[args.scenario]())
+    text = world.to_json()
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {args.out} (spec hash {world.spec_hash[:12]})",
+              file=sys.stderr)
+    else:
+        print(text)
+    return 0
 
 
 def _run_stages_campaign(args, world: WorldSpec) -> int:
@@ -609,8 +651,6 @@ def _run_stages_campaign(args, world: WorldSpec) -> int:
     server state (warm caches etc.) — each result matches a
     single-``--stage`` invocation with the same seed.
     """
-    import dataclasses
-
     if world.stages is not None:
         names = list(world.stages)
     else:
@@ -651,11 +691,8 @@ def _run_stages_campaign(args, world: WorldSpec) -> int:
                 print(f"{name}\t{merged.stage(name).describe()}")
             else:
                 print(f"{name}\tskipped (no qualifying object)")
-    else:
-        print(merged.summary())
-        print()
-        print(infer_constraints(merged).summary())
-    return 1 if merged.aborted else 0
+        return 1 if merged.aborted else 0
+    return _report_result(merged, quiet=False)
 
 
 def cmd_campaign(args) -> int:
@@ -671,18 +708,8 @@ def cmd_campaign(args) -> int:
 
     from repro.campaign.store import ResultStore
 
-    stores = {}
-    for flag, path in (("--fsck", args.fsck), ("--compact", args.compact),
-                       ("--cache", args.cache)):
-        if path is not None:
-            try:
-                stores[flag] = ResultStore(path)
-            except ValueError as exc:  # a regular file, not a store
-                print(f"repro campaign {flag}: {exc}", file=sys.stderr)
-                return 2
-
     if args.fsck is not None:
-        store = stores["--fsck"]
+        store = ResultStore(args.fsck)
         if not store.shard_paths():
             print(f"repro campaign --fsck: no store at {args.fsck}",
                   file=sys.stderr)
@@ -719,7 +746,7 @@ def cmd_campaign(args) -> int:
             return 1
         return 0
     if args.compact is not None:
-        store = stores["--compact"]
+        store = ResultStore(args.compact)
         if not store.shard_paths():
             print(f"repro campaign --compact: no store at {args.compact}",
                   file=sys.stderr)
@@ -737,6 +764,12 @@ def cmd_campaign(args) -> int:
         print("repro campaign: a population is required unless --compact "
               "or --fsck is given", file=sys.stderr)
         return 2
+    if args.triage and args.dry_run:
+        # phase-2 jobs are chosen from phase-1 results: nothing to expand
+        print("repro campaign: --dry-run cannot expand a --triage "
+              "campaign (its probes depend on the indicator sweep)",
+              file=sys.stderr)
+        return 2
 
     strata_by_name = {
         "quantcast": quantcast_strata,
@@ -745,11 +778,7 @@ def cmd_campaign(args) -> int:
     }
     strata = strata_by_name[args.population](scale=args.scale)
     sites = generate_population(strata, seed=args.seed)
-    config = MFCConfig(
-        threshold_s=args.threshold_ms / 1000.0,
-        max_crowd=args.max_crowd,
-        min_clients=_default_min_clients(args.clients),
-    )
+    config = _probe_config(args)
     fleet_spec = FleetSpec(n_clients=args.clients, unresponsive_fraction=0.05)
     if args.triage:
         return _campaign_triage(args, sites, config, fleet_spec)
@@ -882,18 +911,11 @@ def _campaign_triage(args, sites, config, fleet_spec) -> int:
 
 def cmd_triage(args) -> int:
     # imported here so `repro list`/`run` stay import-light
-    import dataclasses
-
     from repro.campaign import decode_result, execute_job
-    from repro.campaign.spec import JobSpec
     from repro.core.inference import classify_indicator
 
     scenario = SCENARIOS[args.scenario]()
-    config = MFCConfig(
-        threshold_s=args.threshold_ms / 1000.0,
-        max_crowd=args.max_crowd,
-        min_clients=_default_min_clients(args.clients),
-    )
+    config = _probe_config(args)
     fleet_spec = FleetSpec(n_clients=args.clients)
     if args.active:
         from repro.campaign.triage import run_triage
@@ -957,64 +979,34 @@ def cmd_chaos(args) -> int:
     from repro.faults.chaos import chaos_grid, format_report
 
     report = chaos_grid(
-        scenarios=args.scenario,
-        faults=args.fault,
-        seed=args.seed,
-        quick=args.quick,
-        jobs=args.jobs,
-        store=args.cache,
-        progress=not args.quiet and not args.json,
-        crowd_mode=args.crowd_mode,
+        faults=args.fault, crowd_mode=args.crowd_mode, **_grid_kwargs(args)
     )
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_report(report))
     wrong = report["counts"]["silently_wrong"]
-    if wrong:
-        print(
-            f"repro chaos: {wrong} silently wrong verdict(s) — a fault "
-            "changed an answer without downgrading it",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _finish_grid(
+        args, report, format_report, wrong,
+        f"repro chaos: {wrong} silently wrong verdict(s) — a fault "
+        "changed an answer without downgrading it",
+    )
 
 
 def cmd_equiv(args) -> int:
     # imported here so `repro list`/`run` stay import-light
     from repro.worlds.equivalence import equivalence_grid, format_report
 
-    report = equivalence_grid(
-        scenarios=args.scenario,
-        seed=args.seed,
-        quick=args.quick,
-        jobs=args.jobs,
-        store=args.cache,
-        progress=not args.quiet and not args.json,
-    )
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_report(report))
+    report = equivalence_grid(**_grid_kwargs(args))
     counts = report["counts"]
     broken = counts["verdict_mismatches"] + counts["knee_out_of_tolerance"]
-    if broken:
-        print(
-            f"repro equiv: {broken} cohort/exact disagreement(s) — "
-            "aggregation changed an experiment's answer",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _finish_grid(
+        args, report, format_report, broken,
+        f"repro equiv: {broken} cohort/exact disagreement(s) — "
+        "aggregation changed an experiment's answer",
+    )
 
 
 def _project_root_for(path: str) -> Optional[str]:
     """Nearest ancestor of *path* (inclusive) that looks like a
     project root (has ``.git`` or ``pyproject.toml``); None if the
     walk reaches the filesystem root without finding one."""
-    import os
-
     current = path
     while True:
         if os.path.exists(os.path.join(current, ".git")) or os.path.exists(
@@ -1039,7 +1031,6 @@ def _cmd_perf_profile(args) -> int:
     """
     import cProfile
     import io
-    import os
     import pstats
 
     from repro.perf.benches import bench_factories
@@ -1083,34 +1074,31 @@ def _cmd_perf_profile(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    # imported here so `repro list`/`run` stay import-light
-    import os
-
     if args.profile:
         return _cmd_perf_profile(args)
 
+    # imported here so `repro list`/`run` stay import-light
     from repro.perf import (
         BASELINE_FILENAME,
         compare_to_baseline,
         find_regressions,
         load_bench_file,
-        run_campaign_suite,
-        run_kernel_suite,
-        run_triage_suite,
-        run_world_suite,
         write_bench_file,
     )
     from repro.perf.baseline import render_comparison
+    from repro.perf.benches import bench_factories
 
-    print("repro perf: measuring kernel + allocator ...", flush=True)
-    kernel = run_kernel_suite(quick=args.quick)
-    print("repro perf: measuring end-to-end world ...", flush=True)
-    world = run_world_suite(quick=args.quick)
-    print("repro perf: measuring campaign dispatch ...", flush=True)
-    world.update(run_campaign_suite(quick=args.quick))
-    print("repro perf: measuring two-phase triage ...", flush=True)
-    world.update(run_triage_suite(quick=args.quick))
-    benches = {**kernel, **world}
+    benches = {}
+    for key, factory in bench_factories(quick=args.quick).items():
+        print(f"repro perf: measuring {key} ...", flush=True)
+        benches[key] = factory()
+    # the substrate benches (kernel, allocator) and the end-to-end ones
+    # (worlds, campaigns, triage) keep separate payload files
+    kernel = {
+        key: record for key, record in benches.items()
+        if key.startswith(("kernel.", "allocator."))
+    }
+    world = {key: record for key, record in benches.items() if key not in kernel}
 
     write_bench_file(os.path.join(args.out, "BENCH_kernel.json"), kernel)
     write_bench_file(os.path.join(args.out, "BENCH_world.json"), world)
@@ -1204,23 +1192,8 @@ def cmd_perf(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return cmd_list(args)
-    if args.command == "stages":
-        return cmd_stages(args)
-    if args.command == "spec":
-        return cmd_spec(args)
-    if args.command == "campaign":
-        return cmd_campaign(args)
-    if args.command == "triage":
-        return cmd_triage(args)
-    if args.command == "chaos":
-        return cmd_chaos(args)
-    if args.command == "equiv":
-        return cmd_equiv(args)
-    if args.command == "perf":
-        return cmd_perf(args)
-    return cmd_run(args)
+    bad = _check_stores(args)
+    return bad if bad is not None else args.func(args)
 
 
 if __name__ == "__main__":

@@ -112,5 +112,11 @@ class MFCConfig:
         return updated
 
 
+def default_min_clients(n_clients: int) -> int:
+    """The paper's 50-client floor, clamped so small fleets (with
+    their PlanetLab-like flaky fraction) still run."""
+    return min(50, max(1, int(n_clients * 0.75)))
+
+
 #: the §4 cooperating-site configuration (θ=250 ms, larger crowds)
 COOPERATING_SITE_THRESHOLD_S = 0.250

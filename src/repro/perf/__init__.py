@@ -8,7 +8,8 @@ against:
 
 - :mod:`repro.perf.benches` — microbenchmarks for kernel event
   throughput and allocator cost versus flow count, plus the end-to-end
-  200-client Large Object world benchmark;
+  200-client Large Object world benchmark, all keyed in the one
+  ordered ``bench_factories`` table;
 - :mod:`repro.perf.baseline` — ``BENCH_*.json`` reading/writing and
   comparison against the recorded baseline, including the determinism
   fingerprint that guards against behaviour drift.
@@ -32,10 +33,6 @@ from repro.perf.benches import (
     bench_kernel_cascade,
     bench_kernel_timers,
     bench_world,
-    run_campaign_suite,
-    run_kernel_suite,
-    run_triage_suite,
-    run_world_suite,
 )
 
 __all__ = [
@@ -49,9 +46,5 @@ __all__ = [
     "compare_to_baseline",
     "find_regressions",
     "load_bench_file",
-    "run_campaign_suite",
-    "run_kernel_suite",
-    "run_triage_suite",
-    "run_world_suite",
     "write_bench_file",
 ]

@@ -138,8 +138,8 @@ def test_render_comparison_marks_drift():
 
 
 def _canned_suites(monkeypatch, kernel_seconds=1.0, world_seconds=1.0):
-    """Patch the bench suites so CLI gate tests run in microseconds."""
-    import repro.perf as perf_pkg
+    """Patch the bench table so CLI gate tests run in microseconds."""
+    import repro.perf.benches as benches
 
     kernel = {
         "kernel.timers.quick": {"seconds": kernel_seconds, "params": {"n": 1}},
@@ -152,9 +152,14 @@ def _canned_suites(monkeypatch, kernel_seconds=1.0, world_seconds=1.0):
             "fingerprint": "sha256:feed",
         },
     }
-    monkeypatch.setattr(perf_pkg, "run_kernel_suite", lambda quick=False: kernel)
-    monkeypatch.setattr(perf_pkg, "run_world_suite", lambda quick=False: world)
-    return {**kernel, **world}
+    records = {**kernel, **world}
+    monkeypatch.setattr(
+        benches, "bench_factories",
+        lambda quick=False: {
+            key: (lambda record=record: record) for key, record in records.items()
+        },
+    )
+    return records
 
 
 def _write_baseline(path, benches, scale=1.0):

@@ -408,31 +408,27 @@ def test_list_json_includes_probe_stages_and_planners(capsys):
 # -- repro perf ----------------------------------------------------------------
 
 
-def _stub_perf_suites(monkeypatch, world_fingerprint="sha256:aa"):
-    import repro.perf as perf
+def _stub_bench_table(monkeypatch, records):
+    """Replace the bench table with benches that return *records*."""
+    import repro.perf.benches as benches
 
     monkeypatch.setattr(
-        perf, "run_kernel_suite",
-        lambda quick=False: {"kernel.stub": {"seconds": 0.5, "params": {"n": 1}}},
-    )
-    monkeypatch.setattr(
-        perf, "run_world_suite",
+        benches, "bench_factories",
         lambda quick=False: {
-            "world.stub": {
-                "seconds": 1.0,
-                "params": {"n": 2},
-                "fingerprint": world_fingerprint,
-            }
+            key: (lambda record=record: record) for key, record in records.items()
         },
     )
-    monkeypatch.setattr(
-        perf, "run_campaign_suite",
-        lambda quick=False: {},
-    )
-    monkeypatch.setattr(
-        perf, "run_triage_suite",
-        lambda quick=False: {},
-    )
+
+
+def _stub_perf_suites(monkeypatch, world_fingerprint="sha256:aa"):
+    _stub_bench_table(monkeypatch, {
+        "kernel.stub": {"seconds": 0.5, "params": {"n": 1}},
+        "world.stub": {
+            "seconds": 1.0,
+            "params": {"n": 2},
+            "fingerprint": world_fingerprint,
+        },
+    })
 
 
 def test_perf_records_and_scores_against_baseline(tmp_path, monkeypatch, capsys):
@@ -461,18 +457,14 @@ def test_perf_fails_closed_when_nothing_is_comparable(tmp_path, monkeypatch, cap
     _stub_perf_suites(monkeypatch)
     out = str(tmp_path)
     assert main(["perf", "--out", out, "--update-baseline"]) == 0
-    import repro.perf as perf
-
-    monkeypatch.setattr(
-        perf, "run_world_suite",
-        lambda quick=False: {
-            "world.stub": {
-                "seconds": 1.0,
-                "params": {"n": 99},  # no longer comparable
-                "fingerprint": "sha256:aa",
-            }
+    _stub_bench_table(monkeypatch, {
+        "kernel.stub": {"seconds": 0.5, "params": {"n": 1}},
+        "world.stub": {
+            "seconds": 1.0,
+            "params": {"n": 99},  # no longer comparable
+            "fingerprint": "sha256:aa",
         },
-    )
+    })
     assert main(["perf", "--out", out]) == 1
     assert "no fingerprinted bench matched" in capsys.readouterr().err
 
@@ -481,6 +473,31 @@ def test_perf_without_baseline_succeeds_with_hint(tmp_path, monkeypatch, capsys)
     _stub_perf_suites(monkeypatch)
     assert main(["perf", "--out", str(tmp_path)]) == 0
     assert "record one with --update-baseline" in capsys.readouterr().out
+
+
+def test_perf_profile_rejects_an_unknown_key(tmp_path, monkeypatch, capsys):
+    _stub_perf_suites(monkeypatch)
+    code = main(["perf", "--profile", "world.nope", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown bench 'world.nope'" in err
+    assert "(have: kernel.stub, world.stub)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_perf_profile_writes_the_digest(tmp_path, monkeypatch, capsys):
+    _stub_perf_suites(monkeypatch)
+    code = main(["perf", "--profile", "world.stub", "--out", str(tmp_path)])
+    assert code == 0
+    artifact = tmp_path / "PROFILE_world.stub.txt"
+    digest = artifact.read_text()
+    assert digest.startswith(
+        "bench world.stub: seconds=1.0000 fingerprint=sha256:aa\n"
+    )
+    assert "by cumulative time" in digest
+    assert f"profile written: {artifact}" in capsys.readouterr().out
+    # a profiled run is not a suite run: no BENCH payloads
+    assert sorted(p.name for p in tmp_path.iterdir()) == [artifact.name]
 
 
 # -- faults: repro run --faults / repro chaos / campaign --fsck ----------------
@@ -577,3 +594,79 @@ def test_campaign_rejects_a_regular_file_as_store(capsys, tmp_path):
         assert main(["campaign"] + flags) == 2
         assert "single-file JSONL layout was removed" in capsys.readouterr().err
     assert legacy.read_text() == "{}\n"  # never touched
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "qtnp", "--jobs", "2"],
+    ["chaos", "--quick"],
+    ["equiv", "--quick"],
+])
+def test_cache_on_a_regular_file_exits_2(argv, capsys, tmp_path):
+    legacy = tmp_path / "old.jsonl"
+    legacy.write_text("{}\n")
+    assert main(argv + ["--cache", str(legacy), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]} --cache: ")
+    assert "single-file JSONL layout was removed" in err
+    assert legacy.read_text() == "{}\n"  # never touched
+
+
+def test_campaign_triage_dry_run_is_rejected_before_any_world(
+    capsys, monkeypatch
+):
+    import repro.campaign.triage as triage
+
+    def no_worlds(*args, **kwargs):
+        raise AssertionError("a --dry-run must not run the triage")
+
+    monkeypatch.setattr(triage, "iter_triage", no_worlds)
+    code = main(["campaign", "quantcast", "--scale", "0.02", "--triage",
+                 "--dry-run"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--dry-run cannot expand a --triage campaign" in captured.err
+    assert captured.out == ""
+
+
+def _stub_grid(monkeypatch, module, runner, report):
+    monkeypatch.setattr(module, runner, lambda **kwargs: report)
+    monkeypatch.setattr(module, "format_report", lambda report: "stub grid")
+
+
+def test_chaos_fails_on_a_silently_wrong_cell(capsys, monkeypatch):
+    import repro.faults.chaos as chaos
+
+    report = {"counts": {"silently_wrong": 1}, "rows": []}
+    _stub_grid(monkeypatch, chaos, "chaos_grid", report)
+    assert main(["chaos", "--quick"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "stub grid\n"
+    assert captured.err == (
+        "repro chaos: 1 silently wrong verdict(s) — a fault changed an "
+        "answer without downgrading it\n"
+    )
+    assert main(["chaos", "--quick", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == report
+
+
+def test_equiv_fails_on_a_mismatch(capsys, monkeypatch):
+    import repro.worlds.equivalence as equivalence
+
+    report = {"counts": {"verdict_mismatches": 1, "knee_out_of_tolerance": 0}}
+    _stub_grid(monkeypatch, equivalence, "equivalence_grid", report)
+    assert main(["equiv", "--quick"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "stub grid\n"
+    assert captured.err == (
+        "repro equiv: 1 cohort/exact disagreement(s) — aggregation "
+        "changed an experiment's answer\n"
+    )
+
+
+def test_equiv_quick_json_is_machine_readable(capsys):
+    assert main(["equiv", "--quick", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"]["verdict_mismatches"] == 0
+    assert report["counts"]["knee_out_of_tolerance"] == 0
+    assert report["counts"]["worlds"] == 6
+    assert {row["scenario"] for row in report["rows"]} == set(report["scenarios"])
