@@ -345,13 +345,14 @@ def _add_world_arguments(parser) -> None:
 def _add_probe_arguments(parser, max_crowd: int, clients: int) -> None:
     """Flags every world-running command shares: threshold, crowd cap,
     fleet size and seed (crowd and fleet defaults per command)."""
-    parser.add_argument("--threshold-ms", type=float, default=100.0,
+    d = _WORLD_FLAG_DEFAULTS
+    parser.add_argument("--threshold-ms", type=float, default=d["threshold_ms"],
                         help="θ degradation threshold (default 100)")
     parser.add_argument("--max-crowd", type=int, default=max_crowd,
                         help=f"crowd-size cap in requests (default {max_crowd})")
     parser.add_argument("--clients", type=int, default=clients,
                         help=f"fleet size per world (default {clients})")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=d["seed"])
 
 
 def _probe_config(args) -> MFCConfig:
