@@ -14,7 +14,7 @@ from repro.server.http import Method, Status
 from repro.server.presets import Scenario, qtnp_server
 from repro.server.resources import ServerSpec
 from repro.server.webserver import SimWebServer
-from repro.sim import Simulator
+from repro.sim import RNGRegistry, Simulator
 from repro.workload.fleet import FleetSpec
 
 
@@ -130,6 +130,93 @@ def test_unresponsive_client_fails_probe():
     sim.run()
     assert "c1" not in answered
     assert len(answered) == 3
+
+
+#: per-client probe-miss probabilities of the fractional-liveness fleet
+#: (two clients each); build_fleet only ever emits 0.0 and 1.0
+FRACTIONAL_PROBS = (0.0, 0.3, 0.7, 1.0)
+
+#: seed -> answering ids for the coordinator's liveness check, then for
+#: three further probe rounds; recorded with every client given its
+#: ``client.<id>`` registry stream
+FRACTIONAL_LIVENESS = {
+    1: [
+        ["f0", "f1", "f2", "f3"],
+        ["f0", "f1", "f2", "f3", "f4"],
+        ["f0", "f1", "f2", "f3", "f5"],
+        ["f0", "f1", "f2", "f3", "f5"],
+    ],
+    2: [
+        ["f0", "f1", "f2", "f3", "f5"],
+        ["f0", "f1", "f4"],
+        ["f0", "f1", "f2", "f4"],
+        ["f0", "f1", "f5"],
+    ],
+    3: [
+        ["f0", "f1", "f2", "f3", "f4"],
+        ["f0", "f1", "f2", "f4"],
+        ["f0", "f1", "f2"],
+        ["f0", "f1", "f2", "f3"],
+    ],
+}
+
+
+def fractional_liveness_rounds(seed, rounds=3):
+    sim = Simulator()
+    rngs = RNGRegistry(seed)
+    topo = Topology(
+        sim,
+        TopologySpec(
+            server_access_bps=1e9,
+            clients=[
+                ClientSpec(
+                    f"f{i}",
+                    rtt_to_target=0.040,
+                    rtt_to_coord=0.020 + 0.002 * i,
+                    access_bps=1e9,
+                    jitter=0.05,
+                    unresponsive_prob=FRACTIONAL_PROBS[i // 2],
+                )
+                for i in range(2 * len(FRACTIONAL_PROBS))
+            ],
+        ),
+        rngs=rngs.fork("topology"),
+    )
+    server = SimWebServer(
+        sim, ServerSpec(), minimal_site(), topo.network, topo.server_access
+    )
+    config = MFCConfig(min_clients=1, max_crowd=8)
+    clients = [
+        MFCClient(
+            sim,
+            node,
+            server,
+            topo.control,
+            config,
+            rng=rngs.stream(f"client.{node.client_id}"),
+        )
+        for node in topo.clients
+    ]
+    coordinator = Coordinator(sim, clients, topo.control, config)
+    live = sim.run_until_complete(sim.process(coordinator._liveness_check()))
+    answers = [sorted(c.client_id for c in live)]
+    for _ in range(rounds):
+        answered = []
+        for client in clients:
+            client.probe(answered.append)
+        sim.run()
+        answers.append(sorted(answered))
+    return answers
+
+
+@pytest.mark.parametrize("seed", sorted(FRACTIONAL_LIVENESS))
+def test_fractional_liveness_draws_are_pinned(seed):
+    answers = fractional_liveness_rounds(seed)
+    assert answers == FRACTIONAL_LIVENESS[seed]
+    for round_ids in answers:
+        # p = 0 always answers, p = 1 never does
+        assert {"f0", "f1"} <= set(round_ids)
+        assert not {"f6", "f7"} & set(round_ids)
 
 
 # -- coordinator ---------------------------------------------------------------
