@@ -67,7 +67,10 @@ class MFCClient:
         self.control = control
         self.config = config
         self.client_id = node.client_id
-        self._rng = rng if rng is not None else random.Random(0)
+        #: the liveness coin's stream; worlds pass one only where the
+        #: coin can land either way, and a client that must draw
+        #: without one falls back to ``Random(0)`` on first use
+        self._rng = rng
         #: base response time per object path (step 2 above)
         self.base_times: Dict[str, float] = {}
         #: measured RTT to the target (reported to the coordinator)
@@ -87,9 +90,17 @@ class MFCClient:
         after one control-channel round trip."""
         if self.fault_gate is not None and self.fault_gate.client_down(self.client_id):
             return
-        if self._rng.random() < self.node.spec.unresponsive_prob:
+        prob = self.node.spec.unresponsive_prob
+        # a fixed outcome (prob <= 0 or >= 1) draws nothing: random()
+        # lies in [0, 1), so the coin could not change it
+        if prob >= 1.0 or (prob > 0.0 and self._coin() < prob):
             return
         self.control.ping(self.node.latency_to_coord, lambda _rtt: reply(self.client_id))
+
+    def _coin(self) -> float:
+        if self._rng is None:
+            self._rng = random.Random(0)
+        return self._rng.random()
 
     # -- delay computation -------------------------------------------------------
 

@@ -214,14 +214,16 @@ def choose_rep(members: List) -> object:
     return ordered[len(ordered) // 2]
 
 
-def group_cohorts(participants: List, live: List, stage) -> List[Cohort]:
+def group_cohorts(
+    participants: List, index_of: Dict[str, int], stage
+) -> List[Cohort]:
     """Partition *participants* into homogeneous cohorts.
 
-    Object assignment is positional in *live* (exactly as exact mode's
-    per-client fan-out), and cohort order follows first appearance in
+    Object assignment is positional in the live fleet (exactly as exact
+    mode's per-client fan-out); *index_of* maps each client id to that
+    position.  Cohort order follows first appearance in
     *participants*, so grouping is deterministic for a given draw.
     """
-    index_of = {c.client_id: i for i, c in enumerate(live)}
     cohorts: Dict[Tuple, Cohort] = {}
     order: List[Tuple] = []
     for client in participants:

@@ -206,7 +206,12 @@ class Coordinator:
             # a client that died since registration must not hold up
             # the sequential measurement phase
             yield from self._reliveness(live, stage_result)
-        estimates = yield from self._measure_bases(stage, live, stage_result)
+        # object assignment is positional in *live*, which is fixed for
+        # the stage: one id -> position index serves every epoch
+        index_of = {c.client_id: i for i, c in enumerate(live)}
+        estimates = yield from self._measure_bases(
+            stage, live, index_of, stage_result
+        )
         planner = self.planner.make(
             self.config,
             max_feasible_crowd=len(live) * self.config.requests_per_client,
@@ -235,7 +240,7 @@ class Coordinator:
                     )
                     return
                 epoch = yield from self._run_epoch(
-                    stage, crowd, label, live, pool, estimates
+                    stage, crowd, label, index_of, pool, estimates
                 )
                 stage_result.epochs.append(epoch)
                 # crowd counts synchronized commands; churn stages issue
@@ -254,7 +259,7 @@ class Coordinator:
                     # probe degraded too means ambient interference
                     # (latency storm, middleware stall), not queueing
                     healthy = yield from self._health_probe(
-                        stage, live, pool, stage_result, epoch
+                        stage, index_of, pool, stage_result, epoch
                     )
                     if not healthy:
                         sick_streak += 1
@@ -324,7 +329,7 @@ class Coordinator:
                     # only honest recovery is fresh bases for the whole
                     # pool before retrying the crowd.
                     estimates = yield from self._measure_bases(
-                        stage, live, stage_result
+                        stage, live, index_of, stage_result
                     )
                 pool = self._pool(live, estimates)
             planner.record(epoch)
@@ -343,12 +348,16 @@ class Coordinator:
             stage_result.truncated_crowd_cap = planner.max_feasible_crowd
 
     def _measure_bases(
-        self, stage: StagePlan, live: List[MFCClient], stage_result: StageResult
+        self,
+        stage: StagePlan,
+        live: List[MFCClient],
+        index_of: Dict[str, int],
+        stage_result: StageResult,
     ) -> Generator:
         """Base measurements for every client not quarantined; hardened
         mode then drops the clients whose base hit the kill timer."""
         estimates = yield from self._delay_computation(
-            stage, live, frozenset(self._quarantined)
+            stage, live, index_of, frozenset(self._quarantined)
         )
         # one command per client, each issuing the stage's full
         # connection count against the server
@@ -475,7 +484,7 @@ class Coordinator:
     def _health_probe(
         self,
         stage: StagePlan,
-        live: List[MFCClient],
+        index_of: Dict[str, int],
         pool: List[MFCClient],
         stage_result: StageResult,
         epoch: EpochResult,
@@ -513,9 +522,8 @@ class Coordinator:
         if not probers:
             probers = [pool[0]]
         for client in probers:
-            index = live.index(client)
             status, normalized = yield from client.probe_unloaded(
-                stage.object_for(index),
+                stage.object_for(index_of[client.client_id]),
                 stage.method,
                 body_bytes=stage.body_bytes,
                 connections=stage.connections,
@@ -526,7 +534,11 @@ class Coordinator:
         return False
 
     def _delay_computation(
-        self, stage: StagePlan, live: List[MFCClient], skip: frozenset
+        self,
+        stage: StagePlan,
+        live: List[MFCClient],
+        index_of: Dict[str, int],
+        skip: frozenset,
     ) -> Generator:
         """Measure T_coord / T_target / base response times (§2.2.4).
 
@@ -548,7 +560,7 @@ class Coordinator:
 
         if self.crowd_mode == "cohort":
             yield from self._measure_cohorts(
-                stage, live, skip, coord_rtts, estimates
+                stage, live, index_of, skip, coord_rtts, estimates
             )
             return estimates
 
@@ -578,6 +590,7 @@ class Coordinator:
         self,
         stage: StagePlan,
         live: List[MFCClient],
+        index_of: Dict[str, int],
         skip: frozenset,
         coord_rtts: Dict[str, float],
         estimates: Dict[str, DelayEstimates],
@@ -589,7 +602,7 @@ class Coordinator:
         difference — every live member still lands in *estimates* so
         the hardened pool-eligibility logic sees the full fleet."""
         eligible = [c for c in live if c.client_id not in skip]
-        for cohort in group_cohorts(eligible, live, stage):
+        for cohort in group_cohorts(eligible, index_of, stage):
             rep = cohort.rep
             rep_rtt = yield from rep.measure_target_rtt()
             rep_path = cohort.paths[rep.client_id]
@@ -635,7 +648,7 @@ class Coordinator:
         stage: StagePlan,
         crowd: int,
         label: EpochLabel,
-        live: List[MFCClient],
+        index_of: Dict[str, int],
         pool: List[MFCClient],
         estimates: Dict[str, DelayEstimates],
     ) -> Generator:
@@ -656,7 +669,7 @@ class Coordinator:
         cohorts: List[Cohort] = []
         senders = participants
         if self.crowd_mode == "cohort":
-            cohorts = group_cohorts(participants, live, stage)
+            cohorts = group_cohorts(participants, index_of, stage)
             senders = [c.rep for c in cohorts]
 
         sender_estimates = [estimates[c.client_id] for c in senders]
@@ -673,7 +686,6 @@ class Coordinator:
 
         by_id = {c.client_id: c for c in senders}
         by_rep = {c.rep.client_id: c for c in cohorts}
-        index_of = {c.client_id: i for i, c in enumerate(live)}
         arrivals: Dict[Tuple, float] = {}
         for plan in plans:
             client = by_id[plan.client_id]

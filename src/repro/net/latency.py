@@ -18,6 +18,8 @@ from typing import Optional
 class LatencyModel:
     """Interface: a distribution of round-trip times for one path."""
 
+    __slots__ = ()
+
     #: base (noise-free) round-trip time in seconds
     base_rtt: float
 
@@ -40,6 +42,8 @@ class StationaryJitterLatency(LatencyModel):
     regularly, and the check phase of the MFC algorithm exists to
     reject them).
     """
+
+    __slots__ = ("base_rtt", "jitter", "spike_prob", "spike_factor", "_rng")
 
     def __init__(
         self,

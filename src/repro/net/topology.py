@@ -54,7 +54,8 @@ class TopologySpec:
     control_loss_prob: float = 0.0
 
     def validate(self) -> None:
-        """Raise on dangling bottleneck groups or duplicate client ids."""
+        """Raise on dangling bottleneck groups, duplicate client ids or
+        an unresponsive probability outside [0, 1]."""
         ids = [c.client_id for c in self.clients]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate client ids in topology spec")
@@ -65,10 +66,25 @@ class TopologySpec:
                     f"client {client.client_id} references unknown "
                     f"bottleneck group {group!r}"
                 )
+            # written so NaN fails too
+            if not 0.0 <= client.unresponsive_prob <= 1.0:
+                raise ValueError(
+                    f"client {client.client_id} has unresponsive_prob "
+                    f"{client.unresponsive_prob!r}; must be in [0, 1]"
+                )
 
 
 class ClientNode:
     """A live client endpoint inside a built topology."""
+
+    __slots__ = (
+        "spec",
+        "client_id",
+        "access_link",
+        "bottleneck",
+        "latency_to_target",
+        "latency_to_coord",
+    )
 
     def __init__(
         self,

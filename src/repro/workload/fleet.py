@@ -9,6 +9,7 @@ latency spikes from node load.  :func:`build_fleet` draws a fleet of
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional
@@ -69,20 +70,20 @@ def lan_fleet(n_clients: int = 65, rtt: float = 0.002) -> FleetSpec:
     )
 
 
-def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
-    import math
-
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
 def build_fleet(
     spec: FleetSpec,
     rng: Optional[random.Random] = None,
     id_prefix: str = "pl",
 ) -> List[ClientSpec]:
-    """Draw a deterministic fleet of client specs."""
+    """Draw a deterministic fleet of client specs.
+
+    RTTs are log-uniform: ``exp(uniform(log lo, log hi))``.
+    """
     spec.validate()
     rng = rng if rng is not None else random.Random(0)
+    log_rtt = tuple(map(math.log, spec.rtt_range))
+    log_coord_rtt = tuple(map(math.log, spec.coord_rtt_range))
+    access_choices = list(spec.access_bps_choices)
     clients: List[ClientSpec] = []
     for i in range(spec.n_clients):
         in_bottleneck = (
@@ -93,9 +94,9 @@ def build_fleet(
         clients.append(
             ClientSpec(
                 client_id=f"{id_prefix}{i:03d}",
-                rtt_to_target=_log_uniform(rng, *spec.rtt_range),
-                rtt_to_coord=_log_uniform(rng, *spec.coord_rtt_range),
-                access_bps=rng.choice(list(spec.access_bps_choices)),
+                rtt_to_target=math.exp(rng.uniform(*log_rtt)),
+                rtt_to_coord=math.exp(rng.uniform(*log_coord_rtt)),
+                access_bps=rng.choice(access_choices),
                 jitter=rng.uniform(*spec.jitter_range),
                 spike_prob=spec.spike_prob if spiky else 0.0,
                 bottleneck_group=spec.bottleneck_group if in_bottleneck else None,

@@ -27,6 +27,7 @@ from repro.core.config import MFCConfig
 from repro.core.epochs import PlannerSpec
 from repro.core.stages import StageKind, validate_stage_names
 from repro.faults.spec import FaultSpec
+from repro.net.topology import ClientSpec
 from repro.server.http import HEADER_BYTES
 from repro.server.presets import Scenario
 from repro.workload.fleet import FleetSpec
@@ -35,6 +36,13 @@ from repro.worlds.registry import SYNTHETIC_MODELS
 
 #: nodes used by background traffic (never part of the MFC crowd)
 N_BACKGROUND_CLIENTS = 8
+
+
+def _liveness_rng(rngs, name: str, client: ClientSpec):
+    """The registry stream *name* for *client*'s liveness coin, or None
+    where the coin's outcome is fixed (probability 0 or 1) and never
+    drawn — so a fleet of such clients creates no per-client stream."""
+    return rngs.stream(name) if 0.0 < client.unresponsive_prob < 1.0 else None
 
 
 @codec.register_spec_type
@@ -254,7 +262,7 @@ class WorldSpec:
         from repro.core.profiler import profile_site
         from repro.core.runner import MFCRunner
         from repro.core.stages import stages_named, standard_stages
-        from repro.net.topology import ClientSpec, Topology, TopologySpec
+        from repro.net.topology import Topology, TopologySpec
         from repro.server.cluster import LoadBalancedCluster
         from repro.server.monitor import ResourceMonitor
         from repro.server.webserver import SimWebServer
@@ -333,7 +341,7 @@ class WorldSpec:
                 service,
                 topology.control,
                 self.config,
-                rng=rngs.stream(f"client.{node.client_id}"),
+                rng=_liveness_rng(rngs, f"client.{node.client_id}", node.spec),
             )
             for node in fleet_nodes
         ]
@@ -415,7 +423,7 @@ class WorldSpec:
             IndicatorRunner,
         )
         from repro.core.profiler import profile_site
-        from repro.net.topology import ClientSpec, Topology, TopologySpec
+        from repro.net.topology import Topology, TopologySpec
         from repro.server.cluster import LoadBalancedCluster
         from repro.server.webserver import SimWebServer
         from repro.sim.kernel import Simulator
@@ -485,7 +493,7 @@ class WorldSpec:
             service,
             topology.control,
             self.config,
-            rng=rngs.stream("indicator.probe"),
+            rng=_liveness_rng(rngs, "indicator.probe", probe_spec),
         )
         background = BackgroundTraffic(
             sim,
@@ -548,7 +556,7 @@ class WorldSpec:
                 server,
                 topology.control,
                 self.config,
-                rng=rngs.stream(f"client.{node.client_id}"),
+                rng=_liveness_rng(rngs, f"client.{node.client_id}", node.spec),
             )
             for node in topology.clients
         ]

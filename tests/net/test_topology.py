@@ -76,6 +76,28 @@ def test_duplicate_client_ids_rejected():
         Topology(Simulator(), spec)
 
 
+@pytest.mark.parametrize("prob", [1.5, -0.2, float("nan")])
+def test_unresponsive_prob_outside_unit_interval_rejected(prob):
+    spec = TopologySpec(
+        server_access_bps=1e6,
+        clients=[ClientSpec("flaky", 0.05, 0.02, 1e6, unresponsive_prob=prob)],
+    )
+    with pytest.raises(ValueError, match="flaky has unresponsive_prob"):
+        spec.validate()
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+        Topology(Simulator(), spec)
+
+
+@pytest.mark.parametrize("prob", [0.0, 0.3, 1.0])
+def test_unresponsive_prob_in_unit_interval_accepted(prob):
+    spec = TopologySpec(
+        server_access_bps=1e6,
+        clients=[ClientSpec("c0", 0.05, 0.02, 1e6, unresponsive_prob=prob)],
+    )
+    spec.validate()
+    assert len(Topology(Simulator(), spec)) == 1
+
+
 def test_empty_topology_rejected():
     with pytest.raises(SimulationError):
         Topology(Simulator(), TopologySpec(server_access_bps=1e6, clients=[]))
